@@ -4,9 +4,9 @@
 //! of *all* participants; it receives its choreographic operators through
 //! the [`ChoreoOp`] trait. Endpoint projection as dependency injection
 //! (§5.2) means "EPP is done by executing the choreography function with
-//! concrete implementations of the operators": the
-//! [`Projector`](crate::Projector) injects per-endpoint operator
-//! implementations, while the [`Runner`](crate::Runner) injects the
+//! concrete implementations of the operators":
+//! [`Session::epp_and_run`](crate::Session::epp_and_run) injects
+//! per-endpoint operator implementations, while the [`Runner`](crate::Runner) injects the
 //! centralized semantics.
 
 use crate::faceted::Faceted;

@@ -1,28 +1,49 @@
-//! The park/wake shim transports block on.
+//! The park/wake shims blocking code is built on.
 //!
-//! Every blocking receive in the workspace reduces to the same shape:
-//! take a lock, check a predicate over the guarded state, and if it does
-//! not hold yet, park until a producer changes the state and wakes the
-//! sleepers. [`WaitQueue`] packages that shape — a mutex fused with its
-//! condvar — so transports cannot accidentally wait on a condvar that
-//! guards different state, and so the simulation transport can bound
-//! every park with a watchdog deadline instead of hanging a test run
-//! forever.
+//! Two shapes cover the workspace:
+//!
+//! * A blocking receive parks the *thread* it runs on:
+//!   [`SessionTransport::receive_frame`](crate::SessionTransport::receive_frame)
+//!   registers a waker that unparks its thread on the empty mailbox,
+//!   and parks until the transport fires it.
+//! * Everything else that waits on shared state — the pooled runtime's
+//!   run queue and result cells, the TCP flusher — takes a lock, checks
+//!   a predicate, and parks until a producer changes the state.
+//!   [`WaitQueue`] packages that shape: a mutex fused with its condvar,
+//!   so nobody waits on a condvar that guards different state, with an
+//!   optional deadline so a stall surfaces as an error instead of a
+//!   hang.
 //!
 //! Determinism note: a `WaitQueue` adds no scheduling decisions of its
-//! own. Wakes are broadcast (`notify_all`) and every woken receiver
-//! re-checks its predicate under the single lock, so *which* receiver
-//! proceeds is decided by the guarded state, never by wake order. That
-//! is what lets `SimTransport` promise bit-for-bit reproducible delivery
-//! schedules while its receivers are ordinary blocked threads.
+//! own. Wakes are broadcast (`notify_all`) and every woken waiter
+//! re-checks its predicate under the single lock, so *which* waiter
+//! proceeds is decided by the guarded state, never by wake order.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use crate::transport::MailboxWaker;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+thread_local! {
+    static THREAD_WAKER: MailboxWaker = {
+        let thread = std::thread::current();
+        Arc::new(move || thread.unpark())
+    };
+}
+
+/// A [`MailboxWaker`] that unparks the calling thread.
+///
+/// Built once per thread and handed out as a reference-count bump, so a
+/// blocking receive that parks allocates nothing. A stale firing (the
+/// waker outlived the receive that registered it) is an ordinary
+/// spurious unpark: every parker re-checks its condition.
+pub(crate) fn thread_waker() -> MailboxWaker {
+    THREAD_WAKER.with(Arc::clone)
+}
 
 /// The workspace-wide default watchdog timeout for bounded parks.
 ///
-/// Every watchdog in the workspace — the sim transport's receive
-/// watchdog, the pooled session runtime's stall detector — derives its
+/// Every watchdog in the workspace — the blocking receive's stall
+/// deadline, the pooled session runtime's stall detector — derives its
 /// default deadline from this one place instead of hard-coding an ad
 /// hoc per-call-site constant. Override it with the `CHORUS_WATCHDOG_MS`
 /// environment variable (milliseconds, read once per process); the

@@ -2,9 +2,8 @@
 //! driven by a fixed worker pool.
 //!
 //! The blocking execution model ([`Session::epp_and_run`]) parks one OS
-//! thread per role per session on a
-//! [`WaitQueue`](crate::park::WaitQueue) whenever a receive would
-//! block. That is the right shape for a handful of long-lived runs and
+//! thread per role per session whenever a receive would block (see
+//! [`SessionTransport::receive_frame`](crate::SessionTransport::receive_frame)). That is the right shape for a handful of long-lived runs and
 //! the wrong shape for ten thousand concurrent ones: tens of thousands
 //! of parked threads exhaust memory and scheduler capacity long before
 //! the network does. This module keeps the thread count **O(pool
@@ -44,8 +43,8 @@
 //! sessions and resolves any that has waited longer than the runtime's
 //! deadline (default [`park::default_watchdog`], env-overridable via
 //! `CHORUS_WATCHDOG_MS`) with a [`TransportError::Protocol`] — the
-//! same surface-the-stall-instead-of-hanging contract the sim
-//! transport's receive watchdog established.
+//! same surface-the-stall-instead-of-hanging contract the blocking
+//! receive's deadline keeps.
 //!
 //! ```ignore
 //! let runtime = SessionRuntime::new(4);

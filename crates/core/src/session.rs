@@ -2,9 +2,8 @@
 //!
 //! A [`Session`] is a cheap handle carrying a session id and per-peer
 //! sequence counters. `session.epp_and_run(choreo)` performs endpoint
-//! projection as dependency injection (§5.2) exactly like the old
-//! `Projector`, but every message travels in a
-//! [`chorus_wire::Envelope`] tagged with the session id, so any number
+//! projection as dependency injection (§5.2): every message travels in
+//! a [`chorus_wire::Envelope`] tagged with the session id, so any number
 //! of sessions can run concurrently over one transport.
 
 use crate::choreography::{ChoreoOp, Choreography, CommFailure, CommFailureKind, Portable};
@@ -541,14 +540,6 @@ mod tests {
     impl SessionTransport<System, Bob> for ScriptedTransport {
         fn send_frame(&self, _to: &str, _frame: Envelope) -> Result<(), TransportError> {
             Ok(())
-        }
-
-        fn receive_frame(
-            &self,
-            _session: SessionId,
-            _from: &str,
-        ) -> Result<Envelope, TransportError> {
-            unimplemented!("blocking receive is not under test")
         }
 
         fn try_receive_frame(

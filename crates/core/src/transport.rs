@@ -3,12 +3,19 @@
 //! Choreographies are transport-agnostic (§2.1): "a single choreography can
 //! be executed as either a protocol in which machines communicate using
 //! HTTPS or as a protocol in which threads on a single machine communicate
-//! using sockets". A [`Transport`] is one endpoint's connection to the rest
-//! of the system; concrete implementations (in-process channels, TCP,
-//! instrumented wrappers) live in the `chorus-transport` crate.
+//! using sockets". A [`SessionTransport`] is one endpoint's connection to
+//! the rest of the system; concrete implementations (in-process channels,
+//! TCP, a deterministic network simulation) live in the `chorus-transport`
+//! crate.
+//!
+//! A transport implements three primitives: send a frame, pop a frame
+//! without blocking, and register a readiness waker. The blocking
+//! receive every [`Session`](crate::Session) uses is built from the
+//! last two, once, in [`SessionTransport::receive_frame`].
 
 use crate::location::{ChoreographyLocation, LocationSet};
 use std::fmt;
+use std::time::{Duration, Instant};
 
 /// Errors a transport can report.
 #[derive(Debug)]
@@ -109,47 +116,19 @@ impl From<chorus_wire::WireError> for TransportError {
     }
 }
 
-/// One endpoint's view of the network: `Target`'s mailbox and outgoing
-/// links within the system census `L`.
-///
-/// Implementations must provide reliable, order-preserving, per-sender
-/// FIFO delivery — the guarantees the paper's λN model assumes (§4.1
-/// "the guarantees of CP only hold in the context of reliable
-/// communication").
-pub trait Transport<L: LocationSet, Target: ChoreographyLocation> {
-    /// The names of every location this transport can reach (including
-    /// `Target` itself).
-    fn locations(&self) -> Vec<&'static str> {
-        L::names()
-    }
-
-    /// Sends `data` to the location named `to`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `to` is unknown or the link fails.
-    fn send(&self, to: &str, data: &[u8]) -> Result<(), TransportError>;
-
-    /// Blocks until a message from the location named `from` arrives.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `from` is unknown or the link fails before a
-    /// message arrives.
-    fn receive(&self, from: &str) -> Result<Vec<u8>, TransportError>;
-}
-
 /// Identifies one choreography run multiplexed over a shared transport.
 pub type SessionId = u64;
 
 /// A readiness callback registered on a per-(session, sender) mailbox.
 ///
-/// The pooled session runtime parks *sessions*, not threads: when a
-/// receive would block, the runtime registers one of these on the
-/// mailbox and moves on to other runnable sessions. The transport fires
-/// the waker — at most once per registration — when the mailbox gains a
-/// frame or the link enters an error state (dead, poisoned, peer hung
-/// up), re-enqueueing exactly the session that became runnable.
+/// Both ways of waiting for a frame register one of these on the
+/// mailbox: the blocking [`SessionTransport::receive_frame`] registers
+/// a waker that unparks its thread, and the pooled session runtime,
+/// which parks *sessions* rather than threads, registers one that
+/// re-enqueues the session and moves on to other runnable sessions. The
+/// transport fires the waker — at most once per registration — when
+/// the mailbox gains a frame or the link enters an error state (dead,
+/// poisoned, silenced).
 ///
 /// Wakers must be cheap and non-blocking: transports may invoke them
 /// from a sender's thread with no locks held, and a *spurious* wake
@@ -162,10 +141,6 @@ pub type SessionId = u64;
 /// an error) are woken.
 pub type MailboxWaker = std::sync::Arc<dyn Fn() + Send + Sync>;
 
-/// The session id the raw [`Transport`] compatibility path uses on
-/// session-native transports.
-pub const RAW_SESSION: SessionId = SessionId::MAX;
-
 /// A transport that carries many concurrent choreography sessions over
 /// one set of links, demultiplexing incoming frames into
 /// per-(session, sender) FIFO mailboxes.
@@ -176,9 +151,11 @@ pub const RAW_SESSION: SessionId = SessionId::MAX;
 /// while letting different sessions interleave freely on the wire.
 ///
 /// This is the transport interface [`Endpoint`](crate::Endpoint) is
-/// built on; the raw [`Transport`] trait remains for single-stream,
-/// unframed byte links, and any raw transport can be lifted into a
-/// session transport with [`Demux`](crate::Demux).
+/// built on. Implementations provide [`send_frame`](Self::send_frame),
+/// [`try_receive_frame`](Self::try_receive_frame) and
+/// [`register_waker`](Self::register_waker); the blocking
+/// [`receive_frame`](Self::receive_frame) is provided on top of them,
+/// so every transport shares one park/wake path and one stall deadline.
 pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// The names of every location this transport can reach (including
     /// `Target` itself).
@@ -199,15 +176,51 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// Frames of other sessions arriving meanwhile are queued into their
     /// own mailboxes, never dropped.
     ///
+    /// The provided implementation polls
+    /// [`try_receive_frame`](Self::try_receive_frame); on an empty
+    /// mailbox it registers a waker that unparks the calling thread
+    /// (cached per thread, so parking allocates nothing), re-polls at
+    /// once if the registration reports the mailbox ready, and
+    /// otherwise parks. A wait longer than
+    /// [`receive_deadline`](Self::receive_deadline) fails with a
+    /// [`TransportError::Protocol`] naming the session, the edge and
+    /// the deadline, instead of hanging the thread.
+    ///
     /// # Errors
     ///
-    /// Returns an error if `from` is unknown, the link fails, or the
-    /// peer violates per-session frame ordering.
+    /// Returns an error if `from` is unknown, the link fails, the peer
+    /// violates per-session frame ordering, or the deadline passes.
     fn receive_frame(
         &self,
         session: SessionId,
         from: &str,
-    ) -> Result<chorus_wire::Envelope, TransportError>;
+    ) -> Result<chorus_wire::Envelope, TransportError> {
+        if let Some(frame) = self.try_receive_frame(session, from)? {
+            return Ok(frame);
+        }
+        let deadline = self.receive_deadline();
+        let started = Instant::now();
+        let waker = crate::park::thread_waker();
+        loop {
+            if !self.register_waker(session, from, MailboxWaker::clone(&waker))? {
+                let Some(remaining) = deadline.checked_sub(started.elapsed()) else {
+                    return Err(stall_error(session, from, Target::NAME, deadline));
+                };
+                std::thread::park_timeout(remaining);
+            }
+            if let Some(frame) = self.try_receive_frame(session, from)? {
+                return Ok(frame);
+            }
+        }
+    }
+
+    /// How long [`receive_frame`](Self::receive_frame) waits for one
+    /// frame before reporting a stall: the workspace watchdog
+    /// ([`park::default_watchdog`](crate::park::default_watchdog)) unless
+    /// the transport carries its own.
+    fn receive_deadline(&self) -> Duration {
+        crate::park::default_watchdog()
+    }
 
     /// Pops the next frame of `session` from the location named `from`
     /// if one is already deliverable, **without blocking**.
@@ -219,9 +232,7 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     ///
     /// # Errors
     ///
-    /// Returns an error if `from` is unknown or the link has failed —
-    /// exactly the cases in which [`receive_frame`](Self::receive_frame)
-    /// would return the same error instead of blocking.
+    /// Returns an error if `from` is unknown or the link has failed.
     fn try_receive_frame(
         &self,
         session: SessionId,
@@ -278,6 +289,10 @@ where
         (**self).receive_frame(session, from)
     }
 
+    fn receive_deadline(&self) -> Duration {
+        (**self).receive_deadline()
+    }
+
     fn try_receive_frame(
         &self,
         session: SessionId,
@@ -294,6 +309,16 @@ where
     ) -> Result<bool, TransportError> {
         (**self).register_waker(session, from, waker)
     }
+}
+
+/// The error a blocking receive reports when no frame of `session`
+/// crossed the edge `from -> to` within `deadline`.
+fn stall_error(session: SessionId, from: &str, to: &str, deadline: Duration) -> TransportError {
+    TransportError::Protocol(format!(
+        "receive watchdog: no frame of session {session} on edge {from}->{to} within the \
+         {}ms deadline (schedule stalled or sender never sent)",
+        deadline.as_millis()
+    ))
 }
 
 /// A census's names, resolved once so hot paths can validate and
@@ -332,9 +357,8 @@ impl InternedNames {
 ///
 /// A sequence restart (an incoming `seq` of zero) is accepted and resets
 /// the expectation: it marks a fresh run reusing the same session id on
-/// a long-lived transport, which is how the deprecated
-/// single-session [`Projector`](crate::Projector) shim behaves across
-/// consecutive `epp_and_run` calls.
+/// a long-lived transport, as consecutive
+/// `endpoint.session_with_id(id).epp_and_run(..)` calls do.
 #[derive(Debug, Default)]
 pub struct SequenceTracker {
     next: std::collections::HashMap<(SessionId, &'static str), u64>,
@@ -378,9 +402,135 @@ impl SequenceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chorus_wire::Envelope;
+    use std::collections::VecDeque;
+    use std::sync::{Arc, Mutex};
 
     crate::locations! { Alpha, Beta }
     type Census = crate::LocationSet!(Alpha, Beta);
+
+    /// A one-mailbox transport at `Beta` that implements only the three
+    /// required primitives, so `receive_frame` is the provided one.
+    /// Tests deposit frames and link errors into it from any thread.
+    struct Mailbox {
+        state: Mutex<MailboxState>,
+        deadline: Duration,
+        /// Kill the link from inside `register_waker`, after the waker
+        /// is stored: a link error landing between registration and
+        /// park.
+        fail_after_register: bool,
+    }
+
+    #[derive(Default)]
+    struct MailboxState {
+        frames: VecDeque<Envelope>,
+        error: Option<String>,
+        waker: Option<MailboxWaker>,
+    }
+
+    impl Mailbox {
+        fn new(deadline: Duration) -> Self {
+            Mailbox { state: Mutex::default(), deadline, fail_after_register: false }
+        }
+
+        /// Deposits `frame` and fires the parked waker, as a sender does.
+        fn deposit(&self, frame: Envelope) {
+            let waker = {
+                let mut state = self.state.lock().unwrap();
+                state.frames.push_back(frame);
+                state.waker.take()
+            };
+            if let Some(waker) = waker {
+                waker();
+            }
+        }
+    }
+
+    impl SessionTransport<Census, Beta> for Mailbox {
+        fn send_frame(&self, _to: &str, _frame: Envelope) -> Result<(), TransportError> {
+            Ok(())
+        }
+
+        fn try_receive_frame(
+            &self,
+            _session: SessionId,
+            _from: &str,
+        ) -> Result<Option<Envelope>, TransportError> {
+            let mut state = self.state.lock().unwrap();
+            if let Some(frame) = state.frames.pop_front() {
+                return Ok(Some(frame));
+            }
+            match &state.error {
+                Some(reason) => Err(TransportError::Protocol(reason.clone())),
+                None => Ok(None),
+            }
+        }
+
+        fn register_waker(
+            &self,
+            _session: SessionId,
+            _from: &str,
+            waker: MailboxWaker,
+        ) -> Result<bool, TransportError> {
+            let mut state = self.state.lock().unwrap();
+            if state.error.is_some() || !state.frames.is_empty() {
+                return Ok(true);
+            }
+            if self.fail_after_register {
+                state.error = Some("link from Alpha is down: peer reset".into());
+                drop(state);
+                waker();
+                return Ok(false);
+            }
+            state.waker = Some(waker);
+            Ok(false)
+        }
+
+        fn receive_deadline(&self) -> Duration {
+            self.deadline
+        }
+    }
+
+    #[test]
+    fn provided_receive_wakes_on_a_frame_from_another_thread() {
+        let mailbox = Arc::new(Mailbox::new(Duration::from_secs(30)));
+        let sender = {
+            let mailbox = Arc::clone(&mailbox);
+            std::thread::spawn(move || {
+                // Deposit only once the receiver has parked its waker,
+                // so the frame can only reach it through the wake.
+                while mailbox.state.lock().unwrap().waker.is_none() {
+                    std::thread::yield_now();
+                }
+                mailbox.deposit(Envelope::new(7, 0, b"woken".to_vec()));
+            })
+        };
+        let frame = mailbox.receive_frame(7, "Alpha").unwrap();
+        assert_eq!(frame.payload, b"woken");
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn provided_receive_surfaces_a_link_error_raised_before_the_park() {
+        let mut mailbox = Mailbox::new(Duration::from_secs(10));
+        mailbox.fail_after_register = true;
+        let started = Instant::now();
+        let err = mailbox.receive_frame(7, "Alpha").unwrap_err();
+        assert!(err.to_string().contains("peer reset"), "got: {err}");
+        assert!(started.elapsed() < Duration::from_secs(5), "the error must not wait out the park");
+    }
+
+    #[test]
+    fn provided_receive_watchdog_names_session_edge_and_deadline() {
+        let mailbox = Mailbox::new(Duration::from_millis(30));
+        let err = mailbox.receive_frame(7, "Alpha").unwrap_err();
+        assert!(matches!(err, TransportError::Protocol(_)), "got: {err:?}");
+        let text = err.to_string();
+        assert!(text.contains("watchdog"), "got: {text}");
+        assert!(text.contains("session 7"), "got: {text}");
+        assert!(text.contains("Alpha->Beta"), "got: {text}");
+        assert!(text.contains("30ms"), "got: {text}");
+    }
 
     #[test]
     fn tracker_accepts_an_in_order_stream() {

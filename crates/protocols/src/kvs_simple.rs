@@ -23,7 +23,7 @@ pub type SimpleKvsCensus = chorus_core::LocationSet!(Client, Primary);
 ///
 /// The server's state is a [`SharedStore`] located at [`Primary`]; the
 /// client's request is located at [`Client`]. Each endpoint supplies its
-/// own half via `Projector::local` / `Projector::local_faceted` and the
+/// own half via `Session::local` / `Session::local_faceted` and the
 /// placeholder for the other.
 pub struct SimpleKvs {
     /// The client's request.

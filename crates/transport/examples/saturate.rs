@@ -1,5 +1,8 @@
 //! Ad-hoc profiling harness for the saturated-link shape.
-//! `cargo run --release -p chorus-transport --example saturate -- <mode> <msgs> <sessions> <flush_us> [send_only]`
+//! `cargo run --release -p chorus-transport --example saturate -- <msgs> <sessions> <flush_us> [send_only]`
+//!
+//! A zero `flush_us` flushes frame-at-a-time; a nonzero one coalesces
+//! sends into vectored batches behind that window.
 
 use chorus_core::SessionTransport as _;
 use chorus_transport::{free_local_addrs, TcpConfigBuilder, TcpTransport};
@@ -12,17 +15,15 @@ type Duo = chorus_core::LocationSet!(LA, LB);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let resilient = args[0] == "batched";
-    let msgs: u64 = args[1].parse().unwrap();
-    let sessions: u64 = args[2].parse().unwrap();
-    let flush_us: u64 = args[3].parse().unwrap();
-    let send_only = args.get(4).map(|s| s == "send_only").unwrap_or(false);
+    let msgs: u64 = args[0].parse().unwrap();
+    let sessions: u64 = args[1].parse().unwrap();
+    let flush_us: u64 = args[2].parse().unwrap();
+    let send_only = args.get(3).map(|s| s == "send_only").unwrap_or(false);
 
     let addrs = free_local_addrs(2).unwrap();
     let config = TcpConfigBuilder::new()
         .location(LA, addrs[0])
         .location(LB, addrs[1])
-        .resilience(resilient)
         .flush_delay(Duration::from_micros(flush_us))
         .build::<Duo>()
         .unwrap();
@@ -63,8 +64,7 @@ fn main() {
     }
     let all_done = start.elapsed();
     println!(
-        "mode={} sessions={} flush={}us send_only={}: senders done {:.1}ms ({:.0} msgs/s), all done {:.1}ms ({:.0} msgs/s)",
-        args[0],
+        "sessions={} flush={}us send_only={}: senders done {:.1}ms ({:.0} msgs/s), all done {:.1}ms ({:.0} msgs/s)",
         sessions,
         flush_us,
         send_only,

@@ -20,6 +20,7 @@ use chorus_core::{
     ChoreographyLocation, LocationSet, MailboxWaker, SessionId, SessionTransport, TransportError,
 };
 use chorus_wire::{Bytes, Envelope};
+use std::time::Duration;
 
 /// A transport adapter that makes its owner equivocate: frames sent to
 /// a *victim* receiver have one payload bit flipped (chosen
@@ -28,8 +29,10 @@ use chorus_wire::{Bytes, Envelope};
 /// payload. From the receivers' point of view the sender has told two
 /// different stories about the same logical value.
 ///
-/// All receive-side methods delegate untouched: an equivocator hears
-/// perfectly well, it just lies when it speaks.
+/// The receive primitives (and the receive deadline) delegate
+/// untouched, so the provided blocking receive runs over the inner
+/// transport: an equivocator hears perfectly well, it just lies when it
+/// speaks.
 pub struct Equivocator<T> {
     inner: T,
     seed: u64,
@@ -89,10 +92,6 @@ where
         self.inner.send_frame(to, frame)
     }
 
-    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
-        self.inner.receive_frame(session, from)
-    }
-
     fn try_receive_frame(
         &self,
         session: SessionId,
@@ -108,6 +107,10 @@ where
         waker: MailboxWaker,
     ) -> Result<bool, TransportError> {
         self.inner.register_waker(session, from, waker)
+    }
+
+    fn receive_deadline(&self) -> Duration {
+        self.inner.receive_deadline()
     }
 }
 

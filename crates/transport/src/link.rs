@@ -50,11 +50,11 @@ fn env_u64_or_zero(name: &str, default: u64) -> u64 {
 /// * `CHORUS_TCP_HEARTBEAT_MS` — ping cadence on idle established
 ///   links; a link silent for 3 heartbeats is presumed half-dead and
 ///   torn down for replay (default 1000).
-/// * `CHORUS_TCP_FLUSH_US` — coalescing flush delay in microseconds for
-///   resilient links: sends enqueue and a flusher thread writes the
-///   whole accumulated batch after at most this long (default 0 —
-///   flush inline on every send, which still batches whatever queued
-///   behind a contended link lock).
+/// * `CHORUS_TCP_FLUSH_US` — coalescing flush delay in microseconds:
+///   sends enqueue and a flusher thread writes the whole accumulated
+///   batch after at most this long (default 0 — flush inline on every
+///   send, which still batches whatever queued behind a contended link
+///   lock).
 /// * `CHORUS_TCP_RETAIN_MAX` — retention watermark in bytes per link:
 ///   a sender whose unacknowledged tail reaches this parks until acks
 ///   prune it, and surfaces
@@ -76,11 +76,6 @@ pub struct LinkTuning {
     pub flush_delay: Duration,
     /// Per-link retention watermark in bytes (zero: unbounded).
     pub retain_max: usize,
-    /// Whether links retain, replay, and acknowledge frames. When
-    /// false the transport is the plain frame-at-a-time wire (the bench
-    /// baseline): a dead connection simply loses whatever was in
-    /// flight, and the receiver's link cursor reports the gap loudly.
-    pub resilient: bool,
 }
 
 /// Default retention watermark: 64 MiB per link.
@@ -88,7 +83,7 @@ const RETAIN_MAX_DEFAULT: u64 = 64 * 1024 * 1024;
 
 impl LinkTuning {
     /// Reads the environment-tunable defaults.
-    pub fn from_env(resilient: bool) -> Self {
+    pub fn from_env() -> Self {
         LinkTuning {
             retry_limit: env_u64("CHORUS_TCP_RETRY_LIMIT", 60).min(u64::from(u32::MAX)) as u32,
             retry_base: Duration::from_millis(env_u64("CHORUS_TCP_RETRY_BASE_MS", 5)),
@@ -99,7 +94,6 @@ impl LinkTuning {
                 RETAIN_MAX_DEFAULT,
             ))
             .unwrap_or(usize::MAX),
-            resilient,
         }
     }
 
@@ -361,7 +355,7 @@ mod tests {
     #[test]
     fn tuning_env_defaults_are_sane() {
         // Whatever the environment says, the parsed values are usable.
-        let tuning = LinkTuning::from_env(true);
+        let tuning = LinkTuning::from_env();
         assert!(tuning.retry_limit >= 1);
         assert!(tuning.retry_base > Duration::ZERO);
         assert!(tuning.heartbeat > Duration::ZERO);

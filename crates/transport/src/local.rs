@@ -7,33 +7,18 @@
 //! happens in-process, and the payload the receiver observes is the
 //! very buffer the sender serialized (shared, not copied).
 
-use chorus_core::park::WaitQueue;
 use chorus_core::{
     ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SequenceTracker, SessionId,
-    SessionTransport, Transport, TransportError, RAW_SESSION,
+    SessionTransport, TransportError,
 };
 use chorus_wire::Envelope;
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
-/// How many lock-and-look retries a receiver burns before escalating.
-/// In-process peers usually answer within a microsecond; polling
-/// briefly skips the cross-thread park/wake round trip that otherwise
-/// dominates the latency of small messages. Only used when more than
-/// one core is available — on a single core, spinning just steals the
-/// sender's CPU.
-const RECV_SPIN_LIMIT: u32 = 128;
-
-/// After spinning, how many `yield_now` retries before parking on the
-/// condvar. A yield immediately hands the core to a runnable sender —
-/// the cheap path on oversubscribed or single-core machines — while a
-/// park/wake costs two futex transitions.
-const RECV_YIELD_LIMIT: u32 = 32;
-
 /// One directed link's state: per-session FIFO mailboxes of structured
-/// frames, parked on via the core park/wake shim.
-type LinkState = WaitQueue<LinkInner>;
+/// frames.
+type LinkState = Mutex<LinkInner>;
 
 #[derive(Default)]
 struct LinkInner {
@@ -46,10 +31,10 @@ struct LinkInner {
     /// and future receiver sees it, not just the session whose frame
     /// was bad.
     dead: Option<String>,
-    /// Readiness wakers parked on empty mailboxes by the pooled session
-    /// runtime: at most one per session, removed (and fired, outside
-    /// the lock) when a frame for that session is deposited, drained
-    /// wholesale when the link dies.
+    /// Readiness wakers parked on empty mailboxes (by blocking receivers
+    /// and by the pooled session runtime): at most one per session,
+    /// removed (and fired, outside the lock) when a frame for that
+    /// session is deposited, drained wholesale when the link dies.
     wakers: HashMap<SessionId, MailboxWaker>,
 }
 
@@ -112,11 +97,6 @@ pub struct LocalTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// The census, resolved once so per-message destination/sender
     /// validation works over interned names without allocating.
     names: InternedNames,
-    /// Spin budget for receives, resolved once from the machine's
-    /// parallelism: zero on a single core, [`RECV_SPIN_LIMIT`] otherwise.
-    spin_limit: u32,
-    /// Sequence counters for the raw (sessionless) compatibility path.
-    raw_seqs: Mutex<HashMap<&'static str, u64>>,
     target: PhantomData<Target>,
 }
 
@@ -124,16 +104,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> LocalTransport<L, Target> {
     /// Creates `target`'s endpoint over the shared fabric.
     pub fn new(target: Target, channel: LocalTransportChannel<L>) -> Self {
         let _ = target;
-        static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let parallel = *PARALLELISM
-            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-        LocalTransport {
-            channel,
-            names: InternedNames::of::<L>(),
-            spin_limit: if parallel > 1 { RECV_SPIN_LIMIT } else { 0 },
-            raw_seqs: Mutex::new(HashMap::new()),
-            target: PhantomData,
-        }
+        LocalTransport { channel, names: InternedNames::of::<L>(), target: PhantomData }
     }
 
     fn link(&self, from: &'static str, to: &'static str) -> Result<&LinkState, TransportError> {
@@ -153,7 +124,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     fn send_frame(&self, to: &str, frame: Envelope) -> Result<(), TransportError> {
         let to = self.names.resolve(to)?;
         let link = self.link(Target::NAME, to)?;
-        let mut inner = link.lock();
+        let mut inner = link.lock().expect("local link poisoned");
         // Sequence-check and demultiplex at the sender, under the link
         // lock: frames land in their session mailbox fully structured,
         // sharing the sender's payload buffer. A violation poisons the
@@ -184,7 +155,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             }
         }
         drop(inner);
-        link.notify_all();
         if let Some(waker) = fired {
             waker();
         }
@@ -194,42 +164,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         Ok(())
     }
 
-    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
-        let from = self.names.resolve(from)?;
-        let link = self.link(from, Target::NAME)?;
-        let mut spins = 0u32;
-        let mut inner = link.lock();
-        loop {
-            if let Some(envelope) = inner.mailboxes.get_mut(&session).and_then(VecDeque::pop_front)
-            {
-                return Ok(envelope);
-            }
-            if let Some(reason) = &inner.dead {
-                link.notify_all();
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} is down: {reason}"
-                )));
-            }
-            if spins < self.spin_limit {
-                // Briefly poll before escalating: drop the lock so the
-                // sender can deposit, give the core a breather, retry.
-                spins += 1;
-                drop(inner);
-                std::hint::spin_loop();
-                inner = link.lock();
-            } else if spins < self.spin_limit + RECV_YIELD_LIMIT {
-                // Hand the core to a runnable sender; far cheaper than a
-                // park/wake when the reply is about to arrive.
-                spins += 1;
-                drop(inner);
-                std::thread::yield_now();
-                inner = link.lock();
-            } else {
-                inner = link.wait(inner);
-            }
-        }
-    }
-
     fn try_receive_frame(
         &self,
         session: SessionId,
@@ -237,7 +171,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     ) -> Result<Option<Envelope>, TransportError> {
         let from = self.names.resolve(from)?;
         let link = self.link(from, Target::NAME)?;
-        let mut inner = link.lock();
+        let mut inner = link.lock().expect("local link poisoned");
         if let Some(envelope) = inner.mailboxes.get_mut(&session).and_then(VecDeque::pop_front) {
             return Ok(Some(envelope));
         }
@@ -255,7 +189,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     ) -> Result<bool, TransportError> {
         let from = self.names.resolve(from)?;
         let link = self.link(from, Target::NAME)?;
-        let mut inner = link.lock();
+        let mut inner = link.lock().expect("local link poisoned");
         // Ready-check and registration under the one link lock senders
         // deposit under: a frame can never slip between them.
         let ready = inner.dead.is_some()
@@ -265,26 +199,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         }
         inner.wakers.insert(session, waker);
         Ok(false)
-    }
-}
-
-impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>
-    for LocalTransport<L, Target>
-{
-    fn send(&self, to: &str, data: &[u8]) -> Result<(), TransportError> {
-        let seq = {
-            let to_static = self.names.resolve(to)?;
-            let mut seqs = self.raw_seqs.lock().expect("raw sequence counters poisoned");
-            let counter = seqs.entry(to_static).or_insert(0);
-            let seq = *counter;
-            *counter += 1;
-            seq
-        };
-        self.send_frame(to, Envelope::new(RAW_SESSION, seq, data))
-    }
-
-    fn receive(&self, from: &str) -> Result<Vec<u8>, TransportError> {
-        self.receive_frame(RAW_SESSION, from).map(|envelope| envelope.payload.to_vec())
     }
 }
 
@@ -300,26 +214,32 @@ mod tests {
         let channel = LocalTransportChannel::<System>::new();
         let alice = LocalTransport::new(Alice, channel.clone());
         let bob = LocalTransport::new(Bob, channel);
-        alice.send("Bob", b"one").unwrap();
-        alice.send("Bob", b"two").unwrap();
-        assert_eq!(bob.receive("Alice").unwrap(), b"one");
-        assert_eq!(bob.receive("Alice").unwrap(), b"two");
+        alice.send_frame("Bob", Envelope::new(0, 0, b"one".to_vec())).unwrap();
+        alice.send_frame("Bob", Envelope::new(0, 1, b"two".to_vec())).unwrap();
+        assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, b"one");
+        assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, b"two");
     }
 
     #[test]
     fn unknown_locations_are_rejected() {
         let channel = LocalTransportChannel::<System>::new();
         let alice = LocalTransport::new(Alice, channel);
-        assert!(matches!(alice.send("Nobody", b"x"), Err(TransportError::UnknownLocation(_))));
-        assert!(matches!(alice.receive("Nobody"), Err(TransportError::UnknownLocation(_))));
+        let frame = Envelope::new(0, 0, b"x".to_vec());
+        assert!(matches!(
+            alice.send_frame("Nobody", frame),
+            Err(TransportError::UnknownLocation(_))
+        ));
+        assert!(matches!(
+            alice.receive_frame(0, "Nobody"),
+            Err(TransportError::UnknownLocation(_))
+        ));
     }
 
     #[test]
     fn locations_lists_the_census() {
         let channel = LocalTransportChannel::<System>::new();
         let alice = LocalTransport::new(Alice, channel);
-        assert_eq!(chorus_core::Transport::locations(&alice), vec!["Alice", "Bob"]);
-        assert_eq!(chorus_core::SessionTransport::locations(&alice), vec!["Alice", "Bob"]);
+        assert_eq!(alice.locations(), vec!["Alice", "Bob"]);
     }
 
     #[test]
@@ -327,11 +247,11 @@ mod tests {
         let channel = LocalTransportChannel::<System>::new();
         let alice = LocalTransport::new(Alice, channel.clone());
         let bob = LocalTransport::new(Bob, channel);
-        alice.send("Bob", b"ping").unwrap();
+        alice.send_frame("Bob", Envelope::new(0, 0, b"ping".to_vec())).unwrap();
         // Bob's message to Alice does not interfere with Alice's to Bob.
-        bob.send("Alice", b"pong").unwrap();
-        assert_eq!(bob.receive("Alice").unwrap(), b"ping");
-        assert_eq!(alice.receive("Bob").unwrap(), b"pong");
+        bob.send_frame("Alice", Envelope::new(0, 0, b"pong".to_vec())).unwrap();
+        assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, b"ping");
+        assert_eq!(alice.receive_frame(0, "Bob").unwrap().payload, b"pong");
     }
 
     #[test]

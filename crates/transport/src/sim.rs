@@ -19,12 +19,14 @@
 //! reorder stage that re-establishes the per-(session, sender) FIFO
 //! order the [`SessionTransport`] contract promises (exactly as TCP
 //! re-establishes a reliable stream over a lossy, reordering packet
-//! layer), discarding duplicates. Receivers are ordinary blocked
-//! threads parked on a [`chorus_core::park::WaitQueue`]; a receiver that
-//! would block first *advances virtual time* by draining the link's
-//! in-flight set, so delivery never waits on a wall clock. A watchdog
-//! deadline bounds every park, so a genuinely stuck schedule surfaces
-//! as an error instead of hanging CI.
+//! layer), discarding duplicates. Every send drains its link's in-flight
+//! set at once, *advancing virtual time* in the deterministic arrival
+//! order, so delivery never waits on a wall clock; receivers block
+//! through the shared
+//! [`receive_frame`](SessionTransport::receive_frame), woken by the
+//! deposit. The plan's watchdog ([`FaultPlan::watchdog`]) is that
+//! receive's deadline, so a genuinely stuck schedule surfaces as an
+//! error instead of hanging CI.
 //!
 //! Failure modes are injected, never emergent: a sender-side sequence
 //! violation kills the link for every session behind it (mirroring
@@ -49,10 +51,10 @@
 //! release order — as text; CI jobs attach it as an artifact so a
 //! failing seed replays locally with nothing but the seed.
 
-use chorus_core::park::{self, WaitQueue};
+use chorus_core::park;
 use chorus_core::{
     ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SequenceTracker, SessionId,
-    SessionTransport, Transport, TransportError, RAW_SESSION,
+    SessionTransport, TransportError,
 };
 use chorus_wire::Envelope;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -60,7 +62,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// A frame is retransmitted at most this many times; past that the
 /// "network" relents and delivers. Keeps arrival ticks finite even with
@@ -601,7 +603,7 @@ impl SimLink {
 
 struct SimShared {
     plan: FaultPlan,
-    links: HashMap<(&'static str, &'static str), WaitQueue<SimLink>>,
+    links: HashMap<(&'static str, &'static str), Mutex<SimLink>>,
     /// Frames handed to receivers, across all links.
     received: Mutex<u64>,
 }
@@ -629,7 +631,7 @@ impl<L: LocationSet> SimNet<L> {
         for from in &names {
             for to in &names {
                 if from != to {
-                    links.insert((*from, *to), WaitQueue::new(SimLink::default()));
+                    links.insert((*from, *to), Mutex::default());
                 }
             }
         }
@@ -647,7 +649,10 @@ impl<L: LocationSet> SimNet<L> {
     /// The current virtual time: the maximum arrival tick any link has
     /// drained.
     pub fn virtual_now(&self) -> u64 {
-        self.sorted_links().map(|(_, wq)| wq.lock().now).max().unwrap_or(0)
+        self.sorted_links()
+            .map(|(_, cell)| cell.lock().expect("sim link poisoned").now)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Frames handed to receivers so far, across all links.
@@ -671,8 +676,8 @@ impl<L: LocationSet> SimNet<L> {
     /// to stop. Call it after the run completes.
     pub fn events(&self) -> Vec<SimEvent> {
         let mut out = Vec::new();
-        for (key, wq) in self.sorted_links() {
-            let mut link = wq.lock();
+        for (key, cell) in self.sorted_links() {
+            let mut link = cell.lock().expect("sim link poisoned");
             while !link.in_flight.is_empty() {
                 link.advance(key.0, key.1);
             }
@@ -695,8 +700,8 @@ impl<L: LocationSet> SimNet<L> {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "# sim schedule (seed {})", self.shared.plan.seed);
-        for (key, wq) in self.sorted_links() {
-            let mut link = wq.lock();
+        for (key, cell) in self.sorted_links() {
+            let mut link = cell.lock().expect("sim link poisoned");
             // Finalize, exactly as `events` does.
             while !link.in_flight.is_empty() {
                 link.advance(key.0, key.1);
@@ -763,7 +768,7 @@ impl<L: LocationSet> SimNet<L> {
 
     fn sorted_links(
         &self,
-    ) -> impl Iterator<Item = (&(&'static str, &'static str), &WaitQueue<SimLink>)> + '_ {
+    ) -> impl Iterator<Item = (&(&'static str, &'static str), &Mutex<SimLink>)> + '_ {
         let mut keys: Vec<_> = self.shared.links.iter().collect();
         keys.sort_by_key(|(k, _)| **k);
         keys.into_iter()
@@ -776,8 +781,6 @@ pub struct SimTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// The census, resolved once so per-message validation works over
     /// interned names without allocating.
     names: InternedNames,
-    /// Sequence counters for the raw (sessionless) compatibility path.
-    raw_seqs: Mutex<HashMap<&'static str, u64>>,
     target: PhantomData<Target>,
 }
 
@@ -785,12 +788,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
     /// Creates `target`'s endpoint over the simulated fabric.
     pub fn new(target: Target, net: SimNet<L>) -> Self {
         let _ = target;
-        SimTransport {
-            net,
-            names: InternedNames::of::<L>(),
-            raw_seqs: Mutex::new(HashMap::new()),
-            target: PhantomData,
-        }
+        SimTransport { net, names: InternedNames::of::<L>(), target: PhantomData }
     }
 
     /// The shared net, for schedule inspection.
@@ -802,7 +800,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
         &self,
         from: &'static str,
         to: &'static str,
-    ) -> Result<&WaitQueue<SimLink>, TransportError> {
+    ) -> Result<&Mutex<SimLink>, TransportError> {
         self.net.shared.links.get(&(from, to)).ok_or_else(|| {
             TransportError::UnknownLocation(if from == Target::NAME {
                 to.to_string()
@@ -819,9 +817,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     fn send_frame(&self, to: &str, mut frame: Envelope) -> Result<(), TransportError> {
         let to = self.names.resolve(to)?;
         let from = Target::NAME;
-        let wq = self.link(from, to)?;
+        let cell = self.link(from, to)?;
         let plan = &self.net.shared.plan;
-        let mut link = wq.lock();
+        let mut link = cell.lock().expect("sim link poisoned");
         let k = link.sent;
         link.sent += 1;
 
@@ -849,7 +847,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             withheld(&mut link);
             let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
             drop(link);
-            wq.notify_all();
             for waker in fired {
                 waker();
             }
@@ -861,7 +858,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
                 withheld(&mut link);
                 let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
                 drop(link);
-                wq.notify_all();
                 for waker in fired {
                     waker();
                 }
@@ -884,7 +880,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             });
             let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
             drop(link);
-            wq.notify_all();
             for waker in fired {
                 waker();
             }
@@ -963,66 +958,10 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             fired.extend(link.wakers.remove(&session));
         }
         drop(link);
-        wq.notify_all();
         for waker in fired {
             waker();
         }
         Ok(())
-    }
-
-    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
-        let from = self.names.resolve(from)?;
-        let to = Target::NAME;
-        let wq = self.link(from, to)?;
-        let started = Instant::now();
-        let deadline = started + self.net.shared.plan.watchdog;
-        let mut link = wq.lock();
-        loop {
-            if let Some(env) = link.streams.get_mut(&session).and_then(|s| s.ready.pop_front()) {
-                drop(link);
-                *self.net.shared.received.lock().expect("sim counters poisoned") += 1;
-                // Other receivers of this link may be waiting on frames
-                // this thread drained into their mailboxes.
-                wq.notify_all();
-                return Ok(env);
-            }
-            if !link.in_flight.is_empty() {
-                // Nothing ready: advance virtual time by draining the
-                // earliest scheduled arrival, then re-check.
-                link.advance(from, to);
-                continue;
-            }
-            if let Some(reason) = &link.dead {
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} is down: {reason}"
-                )));
-            }
-            if let Some(step) = link.poisoned {
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} poisoned at frame {step}: subsequent frames withheld"
-                )));
-            }
-            if self.net.shared.plan.silenced(from, to) {
-                // The silence is a plan-level fact: no frame will ever
-                // arrive, so fail now instead of burning the watchdog.
-                return Err(TransportError::Protocol(format!(
-                    "link {from} -> {to} silenced: every frame dropped (selective silence)"
-                )));
-            }
-            let (guard, timed_out) = wq.wait_deadline(link, deadline);
-            link = guard;
-            if timed_out
-                && link.in_flight.is_empty()
-                && link.streams.get(&session).is_none_or(|s| s.ready.is_empty())
-            {
-                return Err(TransportError::Protocol(format!(
-                    "sim watchdog: no frame of session {session} from {from} after {}ms \
-                     (configured deadline {}ms; schedule stalled or sender never sent)",
-                    started.elapsed().as_millis(),
-                    self.net.shared.plan.watchdog.as_millis()
-                )));
-            }
-        }
     }
 
     fn try_receive_frame(
@@ -1032,20 +971,19 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     ) -> Result<Option<Envelope>, TransportError> {
         let from = self.names.resolve(from)?;
         let to = Target::NAME;
-        let wq = self.link(from, to)?;
-        let mut link = wq.lock();
+        let cell = self.link(from, to)?;
+        let mut link = cell.lock().expect("sim link poisoned");
         loop {
             if let Some(env) = link.streams.get_mut(&session).and_then(|s| s.ready.pop_front()) {
                 drop(link);
                 *self.net.shared.received.lock().expect("sim counters poisoned") += 1;
-                wq.notify_all();
                 return Ok(Some(env));
             }
             if !link.in_flight.is_empty() {
                 // Draining advances virtual time in the deterministic
-                // (arrival, uid) total order — the *same* order any
-                // blocking receiver would drain in, so which thread
-                // drains never changes the schedule.
+                // (arrival, uid) total order — the same order a sender's
+                // eager drain uses, so which thread drains never changes
+                // the schedule.
                 link.advance(from, to);
                 continue;
             }
@@ -1068,6 +1006,11 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         }
     }
 
+    /// The plan's receive watchdog bounds every blocking receive.
+    fn receive_deadline(&self) -> Duration {
+        self.net.shared.plan.watchdog
+    }
+
     fn register_waker(
         &self,
         session: SessionId,
@@ -1075,8 +1018,8 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         waker: MailboxWaker,
     ) -> Result<bool, TransportError> {
         let from = self.names.resolve(from)?;
-        let wq = self.link(from, Target::NAME)?;
-        let mut link = wq.lock();
+        let cell = self.link(from, Target::NAME)?;
+        let mut link = cell.lock().expect("sim link poisoned");
         // "Ready" is conservative: a non-empty in-flight set *may* hold
         // this session's frame, and only draining (a receiver's job)
         // can tell — so report ready and let the caller re-poll, which
@@ -1095,29 +1038,10 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     }
 }
 
-impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>
-    for SimTransport<L, Target>
-{
-    fn send(&self, to: &str, data: &[u8]) -> Result<(), TransportError> {
-        let seq = {
-            let to_static = self.names.resolve(to)?;
-            let mut seqs = self.raw_seqs.lock().expect("raw sequence counters poisoned");
-            let counter = seqs.entry(to_static).or_insert(0);
-            let seq = *counter;
-            *counter += 1;
-            seq
-        };
-        self.send_frame(to, Envelope::new(RAW_SESSION, seq, data))
-    }
-
-    fn receive(&self, from: &str) -> Result<Vec<u8>, TransportError> {
-        self.receive_frame(RAW_SESSION, from).map(|envelope| envelope.payload.to_vec())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     chorus_core::locations! { Alice, Bob }
     type System = chorus_core::LocationSet!(Alice, Bob);
@@ -1129,13 +1053,18 @@ mod tests {
         (SimTransport::new(Alice, net.clone()), SimTransport::new(Bob, net.clone()), net)
     }
 
+    /// Frame `seq` of session 0, the single stream most tests here drive.
+    fn frame(seq: u64, payload: &[u8]) -> Envelope {
+        Envelope::new(0, seq, payload.to_vec())
+    }
+
     #[test]
     fn ideal_network_preserves_fifo() {
         let (alice, bob, _) = pair(FaultPlan::ideal());
-        alice.send("Bob", b"one").unwrap();
-        alice.send("Bob", b"two").unwrap();
-        assert_eq!(bob.receive("Alice").unwrap(), b"one");
-        assert_eq!(bob.receive("Alice").unwrap(), b"two");
+        alice.send_frame("Bob", frame(0, b"one")).unwrap();
+        alice.send_frame("Bob", frame(1, b"two")).unwrap();
+        assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, b"one");
+        assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, b"two");
     }
 
     #[test]
@@ -1146,10 +1075,10 @@ mod tests {
             FaultPlan::ideal().with_seed(42).with_jitter(20).with_drop(0.3).with_duplicate(0.3);
         let (alice, bob, net) = pair(plan);
         for i in 0..50u32 {
-            alice.send("Bob", &i.to_le_bytes()).unwrap();
+            alice.send_frame("Bob", frame(i.into(), &i.to_le_bytes())).unwrap();
         }
         for i in 0..50u32 {
-            assert_eq!(bob.receive("Alice").unwrap(), i.to_le_bytes());
+            assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, i.to_le_bytes());
         }
         assert!(net.virtual_now() > 0, "virtual time advanced");
         assert_eq!(net.messages_received(), 50);
@@ -1162,12 +1091,12 @@ mod tests {
                 FaultPlan::ideal().with_seed(7).with_jitter(9).with_drop(0.25).with_duplicate(0.25);
             let (alice, bob, net) = pair(plan);
             for i in 0..32u32 {
-                alice.send("Bob", &i.to_le_bytes()).unwrap();
-                bob.send("Alice", &i.to_le_bytes()).unwrap();
+                alice.send_frame("Bob", frame(i.into(), &i.to_le_bytes())).unwrap();
+                bob.send_frame("Alice", frame(i.into(), &i.to_le_bytes())).unwrap();
             }
             for i in 0..32u32 {
-                assert_eq!(bob.receive("Alice").unwrap(), i.to_le_bytes());
-                assert_eq!(alice.receive("Bob").unwrap(), i.to_le_bytes());
+                assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, i.to_le_bytes());
+                assert_eq!(alice.receive_frame(0, "Bob").unwrap().payload, i.to_le_bytes());
             }
             net.schedule_dump()
         };
@@ -1183,10 +1112,10 @@ mod tests {
             let (alice, bob, net) =
                 pair(FaultPlan::ideal().with_seed(seed).with_jitter(16).with_drop(0.3));
             for i in 0..16u32 {
-                alice.send("Bob", &i.to_le_bytes()).unwrap();
+                alice.send_frame("Bob", frame(i.into(), &i.to_le_bytes())).unwrap();
             }
             for i in 0..16u32 {
-                assert_eq!(bob.receive("Alice").unwrap(), i.to_le_bytes());
+                assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, i.to_le_bytes());
             }
             net.schedule_dump()
         };
@@ -1197,8 +1126,8 @@ mod tests {
     fn partition_holds_frames_until_heal() {
         let plan = FaultPlan::ideal().with_partition(Partition::everywhere(0, 100));
         let (alice, bob, net) = pair(plan);
-        alice.send("Bob", b"through-the-partition").unwrap();
-        assert_eq!(bob.receive("Alice").unwrap(), b"through-the-partition");
+        alice.send_frame("Bob", frame(0, b"through-the-partition")).unwrap();
+        assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, b"through-the-partition");
         assert!(net.virtual_now() > 100, "delivery waited for the heal, got {}", net.virtual_now());
     }
 
@@ -1206,12 +1135,12 @@ mod tests {
     fn poisoned_link_withholds_later_frames() {
         let plan = FaultPlan::ideal().with_poison(Poison::link("Alice", "Bob", 2));
         let (alice, bob, _) = pair(plan);
-        alice.send("Bob", b"zero").unwrap();
-        alice.send("Bob", b"one").unwrap();
-        alice.send("Bob", b"two-withheld").unwrap();
-        assert_eq!(bob.receive("Alice").unwrap(), b"zero");
-        assert_eq!(bob.receive("Alice").unwrap(), b"one");
-        let err = bob.receive("Alice").unwrap_err();
+        alice.send_frame("Bob", frame(0, b"zero")).unwrap();
+        alice.send_frame("Bob", frame(1, b"one")).unwrap();
+        alice.send_frame("Bob", frame(2, b"two-withheld")).unwrap();
+        assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, b"zero");
+        assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, b"one");
+        let err = bob.receive_frame(0, "Alice").unwrap_err();
         assert!(matches!(err, TransportError::Protocol(_)));
         assert!(err.to_string().contains("poisoned at frame 2"), "got: {err}");
     }
@@ -1230,15 +1159,17 @@ mod tests {
     fn watchdog_fires_instead_of_hanging() {
         let plan = FaultPlan::ideal().with_watchdog(Duration::from_millis(50));
         let (_alice, bob, _) = pair(plan);
-        let err = bob.receive("Alice").unwrap_err();
+        let err = bob.receive_frame(0, "Alice").unwrap_err();
         assert!(err.to_string().contains("watchdog"), "got: {err}");
     }
 
     #[test]
     fn unknown_locations_are_rejected() {
         let (alice, _, _) = pair(FaultPlan::ideal());
-        assert!(matches!(alice.send("Nobody", b"x"), Err(TransportError::UnknownLocation(_))));
-        assert!(matches!(alice.receive("Nobody"), Err(TransportError::UnknownLocation(_))));
+        let sent = alice.send_frame("Nobody", frame(0, b"x"));
+        assert!(matches!(sent, Err(TransportError::UnknownLocation(_))));
+        let received = alice.receive_frame(0, "Nobody");
+        assert!(matches!(received, Err(TransportError::UnknownLocation(_))));
     }
 
     #[test]
@@ -1271,8 +1202,8 @@ mod tests {
             let plan =
                 FaultPlan::ideal().with_seed(11).with_corruption(Corruption::everywhere(1.0));
             let (alice, bob, net) = pair(plan);
-            alice.send("Bob", b"payload-under-attack").unwrap();
-            let got = bob.receive("Alice").unwrap();
+            alice.send_frame("Bob", frame(0, b"payload-under-attack")).unwrap();
+            let got = bob.receive_frame(0, "Alice").unwrap().payload.to_vec();
             (got, net.schedule_dump())
         };
         let (first, dump1) = run();
@@ -1296,10 +1227,10 @@ mod tests {
         let dump = |plan: FaultPlan| {
             let (alice, bob, net) = pair(plan);
             for i in 0..16u32 {
-                alice.send("Bob", &i.to_le_bytes()).unwrap();
+                alice.send_frame("Bob", frame(i.into(), &i.to_le_bytes())).unwrap();
             }
             for _ in 0..16u32 {
-                bob.receive("Alice").unwrap();
+                bob.receive_frame(0, "Alice").unwrap();
             }
             net.schedule_dump()
         };
@@ -1315,18 +1246,18 @@ mod tests {
     fn silenced_link_errors_eagerly_and_names_the_edge() {
         let plan = FaultPlan::ideal().with_silence(Silence::link("Alice", "Bob"));
         let (alice, bob, net) = pair(plan);
-        alice.send("Bob", b"never-arrives").unwrap();
+        alice.send_frame("Bob", frame(0, b"never-arrives")).unwrap();
         let before = Instant::now();
-        let err = bob.receive("Alice").unwrap_err();
+        let err = bob.receive_frame(0, "Alice").unwrap_err();
         assert!(before.elapsed() < Duration::from_secs(5), "silence resolves eagerly");
         assert!(matches!(err, TransportError::Protocol(_)));
         let msg = err.to_string();
         assert!(msg.contains("Alice") && msg.contains("Bob") && msg.contains("silenced"), "{msg}");
         // try_receive surfaces the same verdict, and the reverse link
         // still works.
-        assert!(bob.try_receive_frame(RAW_SESSION, "Alice").is_err());
-        bob.send("Alice", b"reverse-ok").unwrap();
-        assert_eq!(alice.receive("Bob").unwrap(), b"reverse-ok");
+        assert!(bob.try_receive_frame(0, "Alice").is_err());
+        bob.send_frame("Alice", frame(0, b"reverse-ok")).unwrap();
+        assert_eq!(alice.receive_frame(0, "Bob").unwrap().payload, b"reverse-ok");
         assert!(net.schedule_dump().contains("silenced"));
     }
 
@@ -1334,7 +1265,7 @@ mod tests {
     fn silenced_link_reports_ready_to_wakers() {
         let plan = FaultPlan::ideal().with_silence(Silence::link("Alice", "Bob"));
         let (_alice, bob, _) = pair(plan);
-        let ready = bob.register_waker(RAW_SESSION, "Alice", Arc::new(|| {})).unwrap();
+        let ready = bob.register_waker(0, "Alice", Arc::new(|| {})).unwrap();
         assert!(ready, "a silenced link must not park a session forever");
     }
 
@@ -1376,18 +1307,18 @@ mod tests {
         let interleaved = {
             let (alice, bob, net) = pair(plan());
             for i in 0..24u32 {
-                alice.send("Bob", &i.to_le_bytes()).unwrap();
-                assert_eq!(bob.receive("Alice").unwrap(), i.to_le_bytes());
+                alice.send_frame("Bob", frame(i.into(), &i.to_le_bytes())).unwrap();
+                assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, i.to_le_bytes());
             }
             net.schedule_dump()
         };
         let batched = {
             let (alice, bob, net) = pair(plan());
             for i in 0..24u32 {
-                alice.send("Bob", &i.to_le_bytes()).unwrap();
+                alice.send_frame("Bob", frame(i.into(), &i.to_le_bytes())).unwrap();
             }
             for i in 0..24u32 {
-                assert_eq!(bob.receive("Alice").unwrap(), i.to_le_bytes());
+                assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, i.to_le_bytes());
             }
             net.schedule_dump()
         };
@@ -1397,8 +1328,8 @@ mod tests {
     #[test]
     fn trace_events_mirror_the_delivery_log() {
         let (alice, bob, net) = pair(FaultPlan::ideal());
-        alice.send("Bob", b"x").unwrap();
-        bob.receive("Alice").unwrap();
+        alice.send_frame("Bob", frame(0, b"x")).unwrap();
+        bob.receive_frame(0, "Alice").unwrap();
         let events = net.trace_events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].direction, crate::Direction::Send);

@@ -2,16 +2,18 @@
 //!
 //! Each endpoint binds a listener at its configured address. Outgoing
 //! links are opened lazily (with jittered, env-tunable backoff — see
-//! [`LinkTuning`]) and begin with a handshake frame carrying the
-//! sender's location name and link mode; after that, every frame is a
-//! `u32` little-endian length followed by a [`chorus_wire::LinkFrame`]:
-//! either a data frame (per-link sequence number + session
-//! [`chorus_wire::Envelope`]) or an ack/heartbeat/resume control frame.
+//! [`LinkTuning`]) and begin with a handshake frame carrying a link
+//! mode byte and the sender's location name (an acceptor closes any
+//! connection whose mode is not the resilient one); after that, every
+//! frame is a `u32` little-endian length followed by a
+//! [`chorus_wire::LinkFrame`]: either a data frame (per-link sequence
+//! number + session [`chorus_wire::Envelope`]) or an
+//! ack/heartbeat/resume control frame.
 //!
 //! # The resilient link layer
 //!
-//! In the default resilient mode, any TCP connection can die and come
-//! back at any moment without a session observing anything but latency:
+//! Any TCP connection can die and come back at any moment without a
+//! session observing anything but latency:
 //!
 //! * **Retention + replay.** A send queue retains every encoded frame
 //!   (refcounted, so retention is cheap) until the receiver's
@@ -31,17 +33,11 @@
 //!   outage has a bounded retry budget, after which the link surfaces a
 //!   typed [`TransportError::LinkDown`] instead of hanging.
 //!
-//! The plain mode (`TcpConfigBuilder::resilience(false)`) is the same
-//! wire format without retention, acks, or supervision — the bench
-//! baseline for measuring the ack path's overhead, and the old
-//! lose-whatever-was-in-flight behavior (now detected loudly by the
-//! receiver's cursor rather than surfacing as a session sequence gap).
-//!
 //! # The batched data plane
 //!
-//! Resilient sends are batched per link: every retained frame not yet
-//! on the current connection flushes in one vectored write — the fixed
-//! 33-byte headers assembled in a reused per-link buffer, the
+//! Sends are batched per link: every retained frame not yet on the
+//! current connection flushes in one vectored write — the fixed 33-byte
+//! headers assembled in a reused per-link buffer, the
 //! refcounted payloads handed to the kernel as their own slices, never
 //! copied. With a nonzero coalescing window (`CHORUS_TCP_FLUSH_US`,
 //! builder override wins) sends enqueue and a flusher thread writes the
@@ -66,7 +62,7 @@ pub use crate::link::TcpLinkStats;
 use crate::link::{backoff_delay, FrameAccumulator, LinkStats, LinkTuning, ACK_EVERY};
 use chorus_core::{
     park, ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SequenceTracker,
-    SessionId, SessionTransport, Transport, TransportError, RAW_SESSION,
+    SessionId, SessionTransport, TransportError,
 };
 use chorus_wire::{
     data_frame_wire_len, data_header, ControlFrame, Envelope, LinkFrame, DATA_FRAME_OVERHEAD,
@@ -74,7 +70,7 @@ use chorus_wire::{
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,10 +81,9 @@ use std::time::{Duration, Instant};
 /// half-dead and torn down for replay.
 const DEAD_AFTER_PINGS: u32 = 3;
 
-/// Handshake mode byte: a plain (frame-at-a-time) sender.
-const MODE_PLAIN: u8 = 0;
 /// Handshake mode byte: a resilient sender expecting a resume cursor
-/// and sending/consuming acks and heartbeats.
+/// and sending/consuming acks and heartbeats — the only mode an
+/// acceptor admits.
 const MODE_RESILIENT: u8 = 1;
 
 /// Address book for a TCP system: one socket address per location in
@@ -96,7 +91,6 @@ const MODE_RESILIENT: u8 = 1;
 #[derive(Debug, Clone)]
 pub struct TcpConfig<L: LocationSet> {
     addrs: HashMap<&'static str, SocketAddr>,
-    resilient: bool,
     retry_limit: Option<u32>,
     retry_base: Option<Duration>,
     heartbeat: Option<Duration>,
@@ -106,29 +100,14 @@ pub struct TcpConfig<L: LocationSet> {
 }
 
 /// Builder for [`TcpConfig`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TcpConfigBuilder {
     addrs: HashMap<&'static str, SocketAddr>,
-    resilient: bool,
     retry_limit: Option<u32>,
     retry_base: Option<Duration>,
     heartbeat: Option<Duration>,
     flush_delay: Option<Duration>,
     retain_max: Option<usize>,
-}
-
-impl Default for TcpConfigBuilder {
-    fn default() -> Self {
-        TcpConfigBuilder {
-            addrs: HashMap::new(),
-            resilient: true,
-            retry_limit: None,
-            retry_base: None,
-            heartbeat: None,
-            flush_delay: None,
-            retain_max: None,
-        }
-    }
 }
 
 impl TcpConfigBuilder {
@@ -141,16 +120,6 @@ impl TcpConfigBuilder {
     pub fn location<P: ChoreographyLocation>(mut self, location: P, addr: SocketAddr) -> Self {
         let _ = location;
         self.addrs.insert(P::NAME, addr);
-        self
-    }
-
-    /// Enables or disables the resilient link layer (default: enabled).
-    ///
-    /// All endpoints of one system must agree: a plain receiver never
-    /// answers a resilient sender's handshake, which the sender treats
-    /// as a failed connection attempt.
-    pub fn resilience(mut self, resilient: bool) -> Self {
-        self.resilient = resilient;
         self
     }
 
@@ -204,7 +173,6 @@ impl TcpConfigBuilder {
         if missing.is_empty() {
             Ok(TcpConfig {
                 addrs: self.addrs,
-                resilient: self.resilient,
                 retry_limit: self.retry_limit,
                 retry_base: self.retry_base,
                 heartbeat: self.heartbeat,
@@ -222,7 +190,7 @@ impl<L: LocationSet> TcpConfig<L> {
     /// The link tuning this config resolves to: builder overrides win,
     /// then the `CHORUS_TCP_*` environment, then defaults.
     fn tuning(&self) -> LinkTuning {
-        let mut tuning = LinkTuning::from_env(self.resilient);
+        let mut tuning = LinkTuning::from_env();
         if let Some(limit) = self.retry_limit {
             tuning.retry_limit = limit;
         }
@@ -253,58 +221,20 @@ pub fn free_local_addrs(n: usize) -> std::io::Result<Vec<SocketAddr>> {
     listeners.iter().map(|l| l.local_addr()).collect()
 }
 
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
+/// Writes `body` as one `u32`-length-prefixed wire frame, in a single
+/// `write`.
+fn write_prefixed(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
+    let len = u32::try_from(body.len())
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
-}
-
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    stream.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(body);
+    stream.write_all(&frame)
 }
 
 /// Writes one control frame as its own length-prefixed wire frame.
 fn write_control(stream: &mut TcpStream, frame: &ControlFrame) -> std::io::Result<()> {
-    write_frame(stream, &frame.encode())
-}
-
-/// Payloads up to this size are coalesced with their headers into the
-/// reused send buffer and hit the socket as a single `write`; larger
-/// payloads go out as their own slice, uncopied.
-const COALESCE_LIMIT: usize = 16 * 1024;
-
-/// Writes one data frame: `u32` outer length, link-frame data header
-/// (tag + link sequence), envelope header, payload — assembled in `buf`
-/// (whose capacity is reused across frames) or, for large payloads,
-/// written as two slices so the payload is never copied.
-fn write_link_data(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    link_seq: u64,
-    frame: &Envelope,
-) -> std::io::Result<()> {
-    let inner_len = DATA_HEADER_LEN + frame.encoded_len();
-    let outer_len = u32::try_from(inner_len)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    buf.clear();
-    buf.extend_from_slice(&outer_len.to_le_bytes());
-    buf.extend_from_slice(&data_header(link_seq));
-    buf.extend_from_slice(&frame.header());
-    if frame.payload.len() <= COALESCE_LIMIT {
-        buf.extend_from_slice(&frame.payload);
-        stream.write_all(buf)?;
-    } else {
-        stream.write_all(buf)?;
-        stream.write_all(&frame.payload)?;
-    }
-    stream.flush()
+    write_prefixed(stream, &frame.encode())
 }
 
 /// What the link layer made of one deposited batch of data frames.
@@ -314,9 +244,9 @@ struct BatchOutcome {
     accepted: u32,
     /// Frames dropped as already delivered on an earlier connection.
     duplicates: u64,
-    /// The cursor jumped forward: frames were genuinely lost (plain
-    /// mode, or a receiver restart behind a live sender). The link is
-    /// poisoned loudly and the rest of the batch discarded.
+    /// The cursor jumped forward: frames were genuinely lost (a
+    /// receiver restart behind a live sender). The link is poisoned
+    /// loudly and the rest of the batch discarded.
     gap: bool,
 }
 
@@ -324,7 +254,6 @@ struct BatchOutcome {
 #[derive(Default)]
 struct Inbox {
     inner: StdMutex<InboxInner>,
-    cv: Condvar,
 }
 
 #[derive(Default)]
@@ -338,12 +267,15 @@ struct InboxInner {
     /// persisted across connections (the heart of resumption — a
     /// reconnecting sender is told exactly where to replay from).
     cursors: HashMap<&'static str, u64>,
-    /// Senders whose connection has ended (with an optional error).
-    closed: HashMap<&'static str, Option<String>>,
-    /// Readiness wakers parked on empty mailboxes by the pooled session
-    /// runtime: at most one per (sender, session) mailbox, removed and
-    /// fired (outside the lock) when that mailbox gains a frame, drained
-    /// per sender when its connection ends.
+    /// Senders whose link failed for good (a bad frame, a session
+    /// sequence violation, or a link cursor gap), with the error every
+    /// session on that link observes.
+    closed: HashMap<&'static str, String>,
+    /// Readiness wakers parked on empty mailboxes (by blocking
+    /// receivers and by the pooled session runtime): at most one per
+    /// (sender, session) mailbox, removed and fired (outside the lock)
+    /// when that mailbox gains a frame, drained per sender when its
+    /// link fails.
     wakers: HashMap<(&'static str, SessionId), MailboxWaker>,
 }
 
@@ -374,8 +306,7 @@ impl Inbox {
                 continue;
             }
             if link_seq > *cursor {
-                // Frames below `link_seq` are gone for good (a
-                // plain-mode sender lost its in-flight tail, or this
+                // Frames below `link_seq` are gone for good (this
                 // receiver restarted and lost its cursor). Poison the
                 // link rather than let a session see a silently
                 // shortened stream.
@@ -383,7 +314,7 @@ impl Inbox {
                     "link-layer sequence gap from {sender}: expected frame {cursor}, got \
                      {link_seq} (frames lost on a dead connection)"
                 );
-                inner.closed.insert(sender, Some(message));
+                inner.closed.insert(sender, message);
                 fired.extend(drain_sender_wakers(&mut inner.wakers, sender));
                 outcome.gap = true;
                 break;
@@ -391,11 +322,11 @@ impl Inbox {
             *cursor += 1;
             outcome.accepted += 1;
             // A sender that violated its session sequencing is
-            // unrecoverable (see `reopen`): consume the frame at the
-            // link level (so the sender's retention queue drains) but
-            // withhold it from every session, which observes the
-            // protocol error instead of a silently resumed stream.
-            if matches!(inner.closed.get(sender), Some(Some(_))) {
+            // unrecoverable: consume the frame at the link level (so the
+            // sender's retention queue drains) but withhold it from
+            // every session, which observes the protocol error instead
+            // of a silently resumed stream.
+            if inner.closed.contains_key(sender) {
                 continue;
             }
             match inner.sequences.check(envelope.session, sender, envelope.seq) {
@@ -405,13 +336,10 @@ impl Inbox {
                     fired.extend(inner.wakers.remove(&(sender, session)));
                 }
                 Err(e) => {
-                    inner.closed.insert(sender, Some(e.to_string()));
+                    inner.closed.insert(sender, e.to_string());
                     fired.extend(drain_sender_wakers(&mut inner.wakers, sender));
                 }
             }
-        }
-        if outcome.accepted > 0 || outcome.gap {
-            self.cv.notify_all();
         }
         // Wakers re-enqueue sessions into a scheduler queue; invoke them
         // outside the inbox lock to avoid ordering deadlocks.
@@ -429,28 +357,16 @@ impl Inbox {
         *inner.cursors.entry(sender).or_insert(0)
     }
 
-    /// Marks `sender`'s connection as ended.
-    fn close(&self, sender: &'static str, error: Option<String>) {
+    /// Fails `sender`'s link for good with `error`.
+    fn close(&self, sender: &'static str, error: String) {
         let mut inner = self.inner.lock().expect("tcp inbox poisoned");
         inner.closed.entry(sender).or_insert(error);
         // A closed link is an observable (error) state for every session
         // parked on it: fire them all.
         let fired = drain_sender_wakers(&mut inner.wakers, sender);
-        self.cv.notify_all();
         drop(inner);
         for waker in fired {
             waker();
-        }
-    }
-
-    /// Clears `sender`'s closed state when it establishes a fresh
-    /// connection, so a reconnecting peer resumes feeding its mailboxes
-    /// instead of being treated as permanently gone. A sequence
-    /// violation or link gap is kept: the stream state is unrecoverable.
-    fn reopen(&self, sender: &'static str) {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        if matches!(inner.closed.get(sender), Some(None)) {
-            inner.closed.remove(sender);
         }
     }
 
@@ -467,11 +383,8 @@ impl Inbox {
         {
             return Ok(Some(envelope));
         }
-        if let Some(error) = inner.closed.get(sender) {
-            return Err(match error {
-                Some(message) => TransportError::Protocol(message.clone()),
-                None => TransportError::ConnectionClosed { peer: sender.to_string() },
-            });
+        if let Some(message) = inner.closed.get(sender) {
+            return Err(TransportError::Protocol(message.clone()));
         }
         Ok(None)
     }
@@ -494,41 +407,6 @@ impl Inbox {
         }
         inner.wakers.insert((sender, session), waker);
         Ok(false)
-    }
-
-    /// Blocks until a frame of `session` from `sender` arrives, bounded
-    /// by the workspace watchdog ([`park::default_watchdog`]) so a dead
-    /// edge resolves with a protocol error naming the wait instead of
-    /// parking the thread forever.
-    fn take(&self, session: SessionId, sender: &'static str) -> Result<Envelope, TransportError> {
-        let watchdog = park::default_watchdog();
-        let started = Instant::now();
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        loop {
-            if let Some(envelope) =
-                inner.mailboxes.get_mut(&(sender, session)).and_then(VecDeque::pop_front)
-            {
-                return Ok(envelope);
-            }
-            if let Some(error) = inner.closed.get(sender) {
-                return Err(match error {
-                    Some(message) => TransportError::Protocol(message.clone()),
-                    None => TransportError::ConnectionClosed { peer: sender.to_string() },
-                });
-            }
-            let waited = started.elapsed();
-            let Some(remaining) = watchdog.checked_sub(waited) else {
-                return Err(TransportError::Protocol(format!(
-                    "tcp receive watchdog: no frame of session {session} from {sender} after \
-                     {}ms (configured deadline {}ms)",
-                    waited.as_millis(),
-                    watchdog.as_millis()
-                )));
-            };
-            let (guard, _timed_out) =
-                self.cv.wait_timeout(inner, remaining).expect("tcp inbox poisoned");
-            inner = guard;
-        }
     }
 }
 
@@ -811,8 +689,7 @@ const FLUSH_INLINE_BYTES: usize = 256 * 1024;
 ///
 /// An I/O error leaves the stream in place (a batch may be partially
 /// written; the resume cursor re-syncs `flushed` on reconnect); the
-/// caller decides between `kill_stream` + re-establish (resilient) and
-/// surfacing it.
+/// caller kills the stream and re-establishes.
 fn flush_pending(link: &mut SendLink, stats: &LinkStats) -> std::io::Result<()> {
     let SendLink { stream, buf, unacked, flushed, wire_high, .. } = &mut *link;
     let Some(stream) = stream.as_mut() else {
@@ -881,8 +758,8 @@ fn flush_pending(link: &mut SendLink, stats: &LinkStats) -> std::io::Result<()> 
     Ok(())
 }
 
-/// One connection attempt: connect, handshake, (resilient) adopt the
-/// receiver's resume cursor, replay the unacked tail, and start the ack
+/// One connection attempt: connect, handshake, adopt the receiver's
+/// resume cursor, replay the unacked tail, and start the ack
 /// reader. On `Err` the caller counts the attempt and backs off.
 fn try_connect_once(
     shared: &Arc<SendShared>,
@@ -895,17 +772,12 @@ fn try_connect_once(
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
     stream.set_nodelay(true).ok();
     let mut hello = Vec::with_capacity(1 + shared.me.len());
-    hello.push(if tuning.resilient { MODE_RESILIENT } else { MODE_PLAIN });
+    hello.push(MODE_RESILIENT);
     hello.extend_from_slice(shared.me.as_bytes());
-    write_frame(&mut stream, &hello)?;
-    if !tuning.resilient {
-        link.generation += 1;
-        link.stream = Some(stream);
-        return Ok(());
-    }
+    write_prefixed(&mut stream, &hello)?;
 
     // Wait for the receiver's resume cursor (bounded: a half-dead or
-    // mode-mismatched peer must not hang the connect path).
+    // refusing peer must not hang the connect path).
     stream.set_read_timeout(Some(tuning.io_tick()))?;
     let mut acc = FrameAccumulator::default();
     let deadline = Instant::now() + tuning.handshake_timeout();
@@ -925,7 +797,7 @@ fn try_connect_once(
             None if Instant::now() >= deadline => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
-                    "peer sent no resume cursor (plain-mode receiver, or half-open connection)",
+                    "peer sent no resume cursor (refused handshake, or half-open connection)",
                 ))
             }
             None => {}
@@ -1211,15 +1083,14 @@ pub struct TcpTransport<L: LocationSet, Target: ChoreographyLocation> {
     names: InternedNames,
     send: Arc<SendShared>,
     inbox: Arc<Inbox>,
-    /// Sequence counters for the raw (sessionless) compatibility path.
-    raw_seqs: Mutex<HashMap<&'static str, u64>>,
     stop: Arc<AtomicBool>,
     system: PhantomData<(L, Target)>,
 }
 
 impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
-    /// Binds `target`'s listener and starts its acceptor thread (plus,
-    /// in resilient mode, the link supervisor).
+    /// Binds `target`'s listener and starts its acceptor thread and
+    /// link supervisor (plus the coalescing flusher when a flush window
+    /// is set).
     ///
     /// # Errors
     ///
@@ -1258,18 +1129,14 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
             flush_signal: park::WaitQueue::new(false),
             dirty_hint: AtomicBool::new(false),
         });
-        if tuning.resilient {
-            let supervisor_shared = Arc::clone(&send);
-            std::thread::Builder::new()
-                .name("chorus-tcp-supervisor".into())
-                .spawn(move || supervisor_loop(supervisor_shared))
-                .map_err(|e| {
-                    TransportError::Io(std::io::Error::other(format!(
-                        "spawning link supervisor: {e}"
-                    )))
-                })?;
-        }
-        if tuning.resilient && tuning.flush_delay > Duration::ZERO {
+        let supervisor_shared = Arc::clone(&send);
+        std::thread::Builder::new()
+            .name("chorus-tcp-supervisor".into())
+            .spawn(move || supervisor_loop(supervisor_shared))
+            .map_err(|e| {
+                TransportError::Io(std::io::Error::other(format!("spawning link supervisor: {e}")))
+            })?;
+        if tuning.flush_delay > Duration::ZERO {
             let flusher_shared = Arc::clone(&send);
             std::thread::Builder::new()
                 .name("chorus-tcp-flusher".into())
@@ -1281,14 +1148,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
                 })?;
         }
 
-        Ok(TcpTransport {
-            names: InternedNames::of::<L>(),
-            send,
-            inbox,
-            raw_seqs: Mutex::new(HashMap::new()),
-            stop,
-            system: PhantomData,
-        })
+        Ok(TcpTransport { names: InternedNames::of::<L>(), send, inbox, stop, system: PhantomData })
     }
 
     /// A snapshot of this endpoint's link-layer activity: reconnects,
@@ -1299,8 +1159,8 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
 
     /// Chaos/test hook: hard-kills every currently established outgoing
     /// connection (as a crashed middlebox would), returning how many
-    /// were torn down. In resilient mode the links replay their
-    /// retained tails on reconnect; sessions observe only latency.
+    /// were torn down. The links replay their retained tails on
+    /// reconnect; sessions observe only latency.
     pub fn break_established_links(&self) -> usize {
         let handles: Vec<Arc<LinkCell>> = self.send.links.lock().values().map(Arc::clone).collect();
         let mut killed = 0;
@@ -1314,7 +1174,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
         killed
     }
 
-    /// What the resilient link to `to` currently retains, as
+    /// What the link to `to` currently retains, as
     /// `(frames, wire_bytes)` — the quantity the `retain_max`
     /// watermark bounds. Test/introspection hook; `(0, 0)` for unknown
     /// peers or links never used.
@@ -1353,20 +1213,15 @@ fn accept_loop(
                 std::thread::spawn(move || {
                     stream.set_nonblocking(false).ok();
                     stream.set_nodelay(true).ok();
-                    // Handshake frame: one mode byte, then the peer's
-                    // location name; resolve it to the interned census
-                    // name once, so every subsequent frame routes
-                    // without allocating.
-                    let Ok(hello) = read_frame(&mut stream) else { return };
-                    let Some((&mode, name_bytes)) = hello.split_first() else { return };
-                    if mode != MODE_PLAIN && mode != MODE_RESILIENT {
-                        return;
-                    }
-                    let Ok(name) = std::str::from_utf8(name_bytes) else { return };
-                    let Some(name) = peers.get(name).copied() else {
+                    // Timeout ticks keep shutdown prompt and drive
+                    // pending-ack flushes.
+                    stream.set_read_timeout(Some(tuning.io_tick())).ok();
+                    let mut acc = FrameAccumulator::default();
+                    let Some(name) = read_hello(&mut stream, &mut acc, &peers, &stop) else {
+                        // Dropping the stream refuses the connection.
                         return;
                     };
-                    reader_loop(stream, name, mode == MODE_RESILIENT, inbox, stats, tuning, stop);
+                    reader_loop(stream, acc, name, inbox, stats, stop);
                 });
             }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -1379,6 +1234,32 @@ fn accept_loop(
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
+    }
+}
+
+/// Reads the handshake frame — the mode byte, then the peer's location
+/// name — and resolves the name to its interned census entry once, so
+/// every later frame routes without allocating. `None` refuses the
+/// connection: a mode other than [`MODE_RESILIENT`], a name outside the
+/// census, or a connection that ended (or a transport that stopped)
+/// before the hello arrived.
+fn read_hello(
+    stream: &mut TcpStream,
+    acc: &mut FrameAccumulator,
+    peers: &HashSet<&'static str>,
+    stop: &AtomicBool,
+) -> Option<&'static str> {
+    loop {
+        if stop.load(Ordering::Relaxed) {
+            return None;
+        }
+        let Some(hello) = acc.poll(stream).ok()? else { continue };
+        let (&mode, name_bytes) = hello.split_first()?;
+        if mode != MODE_RESILIENT {
+            return None;
+        }
+        let name = std::str::from_utf8(name_bytes).ok()?;
+        return peers.get(name).copied();
     }
 }
 
@@ -1411,27 +1292,17 @@ fn drain_batch(
 /// verdicts, cumulative acks at batch boundaries, heartbeat replies.
 fn reader_loop(
     mut stream: TcpStream,
+    mut acc: FrameAccumulator,
     name: &'static str,
-    resilient_peer: bool,
     inbox: Arc<Inbox>,
     stats: Arc<LinkStats>,
-    tuning: LinkTuning,
     stop: Arc<AtomicBool>,
 ) {
-    // Timeout ticks keep shutdown prompt and drive pending-ack flushes.
-    stream.set_read_timeout(Some(tuning.io_tick())).ok();
-    if resilient_peer {
-        // Tell the (re)connecting sender exactly where to replay from.
-        let next = inbox.link_cursor(name);
-        if write_control(&mut stream, &ControlFrame::Resume { next }).is_err() {
-            return;
-        }
+    // Tell the (re)connecting sender exactly where to replay from.
+    let next = inbox.link_cursor(name);
+    if write_control(&mut stream, &ControlFrame::Resume { next }).is_err() {
+        return;
     }
-    // A fresh connection from a peer whose previous one hung up resumes
-    // feeding its mailboxes (plain mode; resilient links never close on
-    // mere disconnection).
-    inbox.reopen(name);
-    let mut acc = FrameAccumulator::default();
     let mut accepted_since_ack: u32 = 0;
     let mut batch: Vec<(u64, Envelope)> = Vec::new();
     loop {
@@ -1444,13 +1315,9 @@ fn reader_loop(
             Ok(Some(body)) => Some(LinkFrame::decode(body)),
             Ok(None) => None,
             Err(_) => {
-                // The connection ended. For a resilient peer that is not
-                // an event sessions may observe — the sender reconnects
-                // and the cursor resumes the stream. A plain peer is
-                // simply gone.
-                if !resilient_peer {
-                    inbox.close(name, None);
-                }
+                // The connection ended. That is not an event sessions
+                // may observe: the sender reconnects and the cursor
+                // resumes the stream.
                 return;
             }
         };
@@ -1458,7 +1325,7 @@ fn reader_loop(
             // Timeout tick: flush a pending cumulative ack so a sender
             // trickling frames slower than ACK_EVERY still drains its
             // retention queue promptly.
-            if resilient_peer && accepted_since_ack > 0 {
+            if accepted_since_ack > 0 {
                 accepted_since_ack = 0;
                 let next = inbox.link_cursor(name);
                 if write_control(&mut stream, &ControlFrame::Ack { next }).is_err() {
@@ -1494,7 +1361,7 @@ fn reader_loop(
                     // Deliver the frames that preceded the bad one,
                     // then close loudly.
                     drain_batch(&inbox, &stats, name, &mut batch, &mut accepted_since_ack);
-                    inbox.close(name, Some(format!("bad frame: {e}")));
+                    inbox.close(name, format!("bad frame: {e}"));
                     return;
                 }
             }
@@ -1509,7 +1376,7 @@ fn reader_loop(
         // Ack at the batch boundary: a burst whose tail lands exactly
         // on the cadence must not leave the sender's retention tail
         // unpruned until the idle tick or a heartbeat.
-        if resilient_peer && accepted_since_ack >= ACK_EVERY {
+        if accepted_since_ack >= ACK_EVERY {
             accepted_since_ack = 0;
             let next = inbox.link_cursor(name);
             if write_control(&mut stream, &ControlFrame::Ack { next }).is_err() {
@@ -1526,24 +1393,22 @@ impl<L: LocationSet, Target: ChoreographyLocation> Drop for TcpTransport<L, Targ
         // on a connection that just died. Linger briefly so the
         // supervisor finishes reconnecting and replaying; leaving
         // immediately would strand the tail and starve the peer.
-        if self.send.tuning.resilient {
-            let cap = (self.send.tuning.dead_after() * 3)
-                .clamp(Duration::from_secs(1), Duration::from_secs(3));
-            let deadline = Instant::now() + cap;
-            loop {
-                let drained = {
-                    let links = self.send.links.lock();
-                    links.values().all(|handle| {
-                        handle
-                            .try_lock()
-                            .is_some_and(|link| link.unacked.is_empty() || link.down.is_some())
-                    })
-                };
-                if drained || Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
+        let cap = (self.send.tuning.dead_after() * 3)
+            .clamp(Duration::from_secs(1), Duration::from_secs(3));
+        let deadline = Instant::now() + cap;
+        loop {
+            let drained = {
+                let links = self.send.links.lock();
+                links.values().all(|handle| {
+                    handle
+                        .try_lock()
+                        .is_some_and(|link| link.unacked.is_empty() || link.down.is_some())
+                })
+            };
+            if drained || Instant::now() >= deadline {
+                break;
             }
+            std::thread::sleep(Duration::from_millis(2));
         }
         self.stop.store(true, Ordering::Relaxed);
         self.send.flush_signal.notify_all();
@@ -1570,70 +1435,40 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         if let Some((elapsed, attempts)) = link.down {
             return Err(link_down_error(self.send.me, to_static, elapsed, attempts));
         }
-        if self.send.tuning.resilient {
-            let wire_len = data_frame_wire_len(&frame);
-            let limit = self.send.tuning.retain_max;
-            if limit > 0 && !link.unacked.is_empty() && link.retained_bytes + wire_len > limit {
-                link = wait_for_retention_room(
-                    self.send.me,
-                    to_static,
-                    &handle,
-                    link,
-                    wire_len,
-                    limit,
-                )?;
-            }
-            // Retain first (the sequence is assigned *after* any
-            // watermark park, so queue order always matches sequence
-            // order): whatever happens to the connection from here on,
-            // the frame is queued and will reach the peer (or the link
-            // goes down loudly).
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            link.retained_bytes += wire_len;
-            link.unflushed_bytes += wire_len;
-            link.unacked.push_back((seq, frame));
-            if link.stream.is_none() {
-                return establish(&self.send, to_static, &handle, &mut link, None);
-            }
-            if self.send.tuning.flush_delay > Duration::ZERO
-                && link.unflushed_bytes < FLUSH_INLINE_BYTES
-            {
-                // Park the frame behind the coalescing window; the
-                // flusher writes the whole backlog as one batch.
-                link.dirty = true;
-                drop(link);
-                self.send.note_dirty();
-                return Ok(());
-            }
-            if flush_pending(&mut link, &self.send.stats).is_err() {
-                kill_stream(&mut link);
-                return establish(&self.send, to_static, &handle, &mut link, None);
-            }
-            Ok(())
-        } else {
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            if link.stream.is_none() {
-                establish(&self.send, to_static, &handle, &mut link, None)?;
-            }
-            let SendLink { stream, buf, .. } = &mut *link;
-            let stream = stream.as_mut().expect("just connected");
-            write_link_data(stream, buf, seq, &frame).map_err(|e| {
-                // Drop the dead stream; whatever was in flight is lost
-                // (the receiver's cursor reports the gap loudly).
-                kill_stream(&mut link);
-                TransportError::Io(e)
-            })
+        let wire_len = data_frame_wire_len(&frame);
+        let limit = self.send.tuning.retain_max;
+        if limit > 0 && !link.unacked.is_empty() && link.retained_bytes + wire_len > limit {
+            link =
+                wait_for_retention_room(self.send.me, to_static, &handle, link, wire_len, limit)?;
         }
-    }
-
-    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
-        let from = self.names.resolve(from)?;
-        if from == Target::NAME {
-            return Err(TransportError::UnknownLocation(from.to_string()));
+        // Retain first (the sequence is assigned *after* any
+        // watermark park, so queue order always matches sequence
+        // order): whatever happens to the connection from here on,
+        // the frame is queued and will reach the peer (or the link
+        // goes down loudly).
+        let seq = link.next_seq;
+        link.next_seq += 1;
+        link.retained_bytes += wire_len;
+        link.unflushed_bytes += wire_len;
+        link.unacked.push_back((seq, frame));
+        if link.stream.is_none() {
+            return establish(&self.send, to_static, &handle, &mut link, None);
         }
-        self.inbox.take(session, from)
+        if self.send.tuning.flush_delay > Duration::ZERO
+            && link.unflushed_bytes < FLUSH_INLINE_BYTES
+        {
+            // Park the frame behind the coalescing window; the
+            // flusher writes the whole backlog as one batch.
+            link.dirty = true;
+            drop(link);
+            self.send.note_dirty();
+            return Ok(());
+        }
+        if flush_pending(&mut link, &self.send.stats).is_err() {
+            kill_stream(&mut link);
+            return establish(&self.send, to_static, &handle, &mut link, None);
+        }
+        Ok(())
     }
 
     fn try_receive_frame(
@@ -1662,26 +1497,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     }
 }
 
-impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>
-    for TcpTransport<L, Target>
-{
-    fn send(&self, to: &str, data: &[u8]) -> Result<(), TransportError> {
-        let seq = {
-            let to_static = self.names.resolve(to)?;
-            let mut seqs = self.raw_seqs.lock();
-            let counter = seqs.entry(to_static).or_insert(0);
-            let seq = *counter;
-            *counter += 1;
-            seq
-        };
-        self.send_frame(to, Envelope::new(RAW_SESSION, seq, data))
-    }
-
-    fn receive(&self, from: &str) -> Result<Vec<u8>, TransportError> {
-        self.receive_frame(RAW_SESSION, from).map(|envelope| envelope.payload.to_vec())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1694,6 +1509,11 @@ mod tests {
 
     chorus_core::locations! { Alice, Bob }
     type System = chorus_core::LocationSet!(Alice, Bob);
+
+    /// Frame `seq` of session 0, the single stream most tests here drive.
+    fn frame(seq: u64, payload: &[u8]) -> Envelope {
+        Envelope::new(0, seq, payload.to_vec())
+    }
 
     fn config() -> TcpConfig<System> {
         let addrs = free_local_addrs(2).unwrap();
@@ -1718,15 +1538,15 @@ mod tests {
         let b_cfg = config;
         let bob = std::thread::spawn(move || {
             let t = TcpTransport::bind(Bob, b_cfg).unwrap();
-            let one = t.receive("Alice").unwrap();
-            let two = t.receive("Alice").unwrap();
-            t.send("Alice", b"ack").unwrap();
+            let one = t.receive_frame(0, "Alice").unwrap().payload;
+            let two = t.receive_frame(0, "Alice").unwrap().payload;
+            t.send_frame("Alice", frame(0, b"ack")).unwrap();
             (one, two)
         });
         let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
-        alice.send("Bob", b"first").unwrap();
-        alice.send("Bob", b"second").unwrap();
-        assert_eq!(alice.receive("Bob").unwrap(), b"ack");
+        alice.send_frame("Bob", frame(0, b"first")).unwrap();
+        alice.send_frame("Bob", frame(1, b"second")).unwrap();
+        assert_eq!(alice.receive_frame(0, "Bob").unwrap().payload, b"ack");
         let (one, two) = bob.join().unwrap();
         assert_eq!(one, b"first");
         assert_eq!(two, b"second");
@@ -1747,13 +1567,13 @@ mod tests {
         let before = FAILED_CONNECT_ATTEMPTS.load(Ordering::Relaxed);
         let alice = std::thread::spawn(move || {
             let t = TcpTransport::bind(Alice, a_cfg).unwrap();
-            t.send("Bob", b"early").unwrap();
+            t.send_frame("Bob", frame(0, b"early")).unwrap();
         });
         while FAILED_CONNECT_ATTEMPTS.load(Ordering::Relaxed) == before {
             std::thread::yield_now();
         }
         let bob = TcpTransport::bind(Bob, b_cfg).unwrap();
-        assert_eq!(bob.receive("Alice").unwrap(), b"early");
+        assert_eq!(bob.receive_frame(0, "Alice").unwrap().payload, b"early");
         alice.join().unwrap();
     }
 
@@ -1764,11 +1584,11 @@ mod tests {
         let b_cfg = config;
         let bob = std::thread::spawn(move || {
             let t = TcpTransport::bind(Bob, b_cfg).unwrap();
-            t.receive("Alice").unwrap()
+            t.receive_frame(0, "Alice").unwrap().payload
         });
         let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
-        alice.send("Bob", b"").unwrap();
-        assert_eq!(bob.join().unwrap(), b"");
+        alice.send_frame("Bob", frame(0, b"")).unwrap();
+        assert!(bob.join().unwrap().is_empty());
     }
 
     #[test]
@@ -1811,22 +1631,22 @@ mod tests {
             let t = TcpTransport::bind(Bob, b_cfg).unwrap();
             let mut got = Vec::new();
             for _ in 0..6 {
-                got.push(t.receive("Alice").unwrap());
+                got.push(t.receive_frame(0, "Alice").unwrap().payload.to_vec());
             }
-            t.send("Alice", b"done").unwrap();
+            t.send_frame("Alice", frame(0, b"done")).unwrap();
             got
         });
         let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
         for i in 0..3u8 {
-            alice.send("Bob", &[i]).unwrap();
+            alice.send_frame("Bob", frame(i.into(), &[i])).unwrap();
         }
         // Hard-kill the established connection mid-session; the next
         // sends re-establish and the link replays anything unacked.
         assert!(alice.break_established_links() >= 1);
         for i in 3..6u8 {
-            alice.send("Bob", &[i]).unwrap();
+            alice.send_frame("Bob", frame(i.into(), &[i])).unwrap();
         }
-        assert_eq!(alice.receive("Bob").unwrap(), b"done");
+        assert_eq!(alice.receive_frame(0, "Bob").unwrap().payload, b"done");
         let got = bob.join().unwrap();
         assert_eq!(got, vec![vec![0], vec![1], vec![2], vec![3], vec![4], vec![5]]);
         let stats = alice.link_stats();
@@ -1846,7 +1666,7 @@ mod tests {
             .build::<System>()
             .unwrap();
         let alice = TcpTransport::<System, _>::bind(Alice, cfg).unwrap();
-        let err = alice.send("Bob", b"void").unwrap_err();
+        let err = alice.send_frame("Bob", frame(0, b"void")).unwrap_err();
         match &err {
             TransportError::LinkDown { edge, attempts, .. } => {
                 assert_eq!(edge, "Alice->Bob");
@@ -1855,7 +1675,7 @@ mod tests {
             other => panic!("expected LinkDown, got {other:?}"),
         }
         // The link is terminally down: later sends fail immediately.
-        let again = alice.send("Bob", b"still void").unwrap_err();
+        let again = alice.send_frame("Bob", frame(1, b"still void")).unwrap_err();
         assert!(matches!(again, TransportError::LinkDown { .. }), "got {again:?}");
         assert_eq!(alice.link_stats().links_down, 1);
     }
@@ -1875,16 +1695,16 @@ mod tests {
             let t = TcpTransport::bind(Bob, b_cfg).unwrap();
             let mut got = Vec::new();
             for _ in 0..12 {
-                got.push(t.receive("Alice").unwrap());
+                got.push(t.receive_frame(0, "Alice").unwrap().payload.to_vec());
             }
-            t.send("Alice", b"done").unwrap();
+            t.send_frame("Alice", frame(0, b"done")).unwrap();
             got
         });
         let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
         for i in 0..12u8 {
-            alice.send("Bob", &[i]).unwrap();
+            alice.send_frame("Bob", frame(i.into(), &[i])).unwrap();
         }
-        assert_eq!(alice.receive("Bob").unwrap(), b"done");
+        assert_eq!(alice.receive_frame(0, "Bob").unwrap().payload, b"done");
         let got = bob.join().unwrap();
         assert_eq!(got, (0..12u8).map(|i| vec![i]).collect::<Vec<_>>());
         let stats = alice.link_stats();
@@ -1911,11 +1731,11 @@ mod tests {
         let b_cfg = cfg;
         let bob = std::thread::spawn(move || {
             let t = TcpTransport::bind(Bob, b_cfg).unwrap();
-            t.receive("Alice").unwrap()
+            t.receive_frame(0, "Alice").unwrap().payload
         });
         let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
         let oversized = vec![7u8; 4096];
-        alice.send("Bob", &oversized).unwrap();
+        alice.send_frame("Bob", frame(0, &oversized)).unwrap();
         assert_eq!(bob.join().unwrap(), oversized);
     }
 
@@ -1932,7 +1752,7 @@ mod tests {
         let b_cfg = cfg;
         let _bob = TcpTransport::<System, _>::bind(Bob, b_cfg).unwrap();
         let alice = TcpTransport::<System, _>::bind(Alice, a_cfg).unwrap();
-        alice.send("Bob", b"tracked").unwrap();
+        alice.send_frame("Bob", frame(0, b"tracked")).unwrap();
         // Acks prune the retention queue without the application ever
         // receiving: the watermark accounting must return to zero.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1944,28 +1764,5 @@ mod tests {
             assert!(Instant::now() < deadline, "retention never drained: {frames} frames");
             std::thread::sleep(Duration::from_millis(5));
         }
-    }
-
-    #[test]
-    fn plain_mode_still_delivers() {
-        let addrs = free_local_addrs(2).unwrap();
-        let cfg = TcpConfigBuilder::new()
-            .location(Alice, addrs[0])
-            .location(Bob, addrs[1])
-            .resilience(false)
-            .build::<System>()
-            .unwrap();
-        let a_cfg = cfg.clone();
-        let b_cfg = cfg;
-        let bob = std::thread::spawn(move || {
-            let t = TcpTransport::bind(Bob, b_cfg).unwrap();
-            let one = t.receive("Alice").unwrap();
-            t.send("Alice", b"ack").unwrap();
-            one
-        });
-        let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
-        alice.send("Bob", b"plain").unwrap();
-        assert_eq!(alice.receive("Bob").unwrap(), b"ack");
-        assert_eq!(bob.join().unwrap(), b"plain");
     }
 }

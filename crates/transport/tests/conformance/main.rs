@@ -256,9 +256,9 @@ mod sim_determinism {
         let net = SimNet::<System>::new(plan);
         let alice = SimTransport::new(Alice, net.clone());
         let bob = SimTransport::new(Bob, net.clone());
-        use chorus_core::Transport as _;
-        alice.send("Bob", b"one").unwrap();
-        bob.receive("Alice").unwrap();
+        use chorus_core::SessionTransport as _;
+        alice.send_frame("Bob", chorus_wire::Envelope::new(0, 0, b"one".to_vec())).unwrap();
+        bob.receive_frame(0, "Alice").unwrap();
         let events = net.trace_events();
         let sends =
             events.iter().filter(|e| e.direction == chorus_transport::Direction::Send).count();

@@ -10,9 +10,9 @@
 //! cadence points must still drain the sender's retention tail promptly
 //! instead of waiting for a heartbeat.
 
-use chorus_core::{Transport, TransportError};
+use chorus_core::{SessionTransport as _, TransportError};
 use chorus_transport::{free_local_addrs, TcpConfigBuilder, TcpTransport};
-use chorus_wire::{ControlFrame, LinkFrame};
+use chorus_wire::{ControlFrame, Envelope, LinkFrame};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,7 +87,8 @@ fn dead_peer_cannot_oom_a_sender() {
         let alice = Arc::clone(&alice);
         std::thread::spawn(move || {
             for i in 0..MESSAGES {
-                alice.send("Bob", &[0x5a; 64]).map_err(|e| (i, e)).unwrap();
+                let frame = Envelope::new(0, i, vec![0x5a; 64]);
+                alice.send_frame("Bob", frame).map_err(|e| (i, e)).unwrap();
             }
         })
     };
@@ -169,8 +170,8 @@ fn parked_sender_surfaces_retention_exceeded_when_the_link_dies() {
     let sender = {
         let alice = Arc::clone(&alice);
         std::thread::spawn(move || {
-            for _ in 0..64u32 {
-                alice.send("Bob", &[0x5a; 64])?;
+            for seq in 0..64 {
+                alice.send_frame("Bob", Envelope::new(0, seq, vec![0x5a; 64]))?;
             }
             Ok::<(), TransportError>(())
         })
@@ -229,7 +230,7 @@ fn retention_drains_after_a_final_partial_batch() {
     // cadence point. Bob's application never receives — draining is
     // entirely the link layer's job.
     for i in 0..19u32 {
-        alice.send("Bob", &i.to_le_bytes()).unwrap();
+        alice.send_frame("Bob", Envelope::new(0, i.into(), i.to_le_bytes().to_vec())).unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {

@@ -1,10 +1,11 @@
 //! Stress and robustness tests for the transports: large payloads, many
 //! messages, many peers, and error paths.
 
-use chorus_core::{Transport as _, TransportError};
+use chorus_core::{Endpoint, SessionTransport as _, TransportError};
 use chorus_transport::{
     free_local_addrs, LocalTransport, LocalTransportChannel, TcpConfigBuilder, TcpTransport,
 };
+use chorus_wire::Envelope;
 
 chorus_core::locations! { N0, N1, N2, N3 }
 type Net = chorus_core::LocationSet!(N0, N1, N2, N3);
@@ -25,10 +26,10 @@ fn tcp_carries_large_payloads() {
     let cfg = config.clone();
     let receiver = std::thread::spawn(move || {
         let t = TcpTransport::bind(N1, cfg).unwrap();
-        t.receive("N0").unwrap()
+        t.receive_frame(0, "N0").unwrap().payload
     });
     let sender = TcpTransport::bind(N0, config).unwrap();
-    sender.send("N1", &payload).unwrap();
+    sender.send_frame("N1", Envelope::new(0, 0, payload)).unwrap();
     assert_eq!(receiver.join().unwrap(), expected);
 }
 
@@ -44,17 +45,19 @@ fn tcp_interleaves_many_messages_in_order() {
     const N: u32 = 500;
     let cfg = config.clone();
     let receiver = std::thread::spawn(move || {
-        let t = TcpTransport::bind(N1, cfg).unwrap();
+        let endpoint = Endpoint::new(TcpTransport::bind(N1, cfg).unwrap());
+        let session = endpoint.session_with_id(0);
         for i in 0..N {
-            let msg = t.receive("N0").unwrap();
+            let msg = session.receive_bytes("N0").unwrap();
             assert_eq!(msg, i.to_le_bytes().to_vec(), "message {i} out of order");
-            t.send("N0", &msg).unwrap();
+            session.send_bytes("N0", &msg).unwrap();
         }
     });
-    let sender = TcpTransport::bind(N0, config).unwrap();
+    let endpoint = Endpoint::new(TcpTransport::bind(N0, config).unwrap());
+    let session = endpoint.session_with_id(0);
     for i in 0..N {
-        sender.send("N1", &i.to_le_bytes()).unwrap();
-        assert_eq!(sender.receive("N1").unwrap(), i.to_le_bytes().to_vec());
+        session.send_bytes("N1", &i.to_le_bytes()).unwrap();
+        assert_eq!(session.receive_bytes("N1").unwrap(), i.to_le_bytes().to_vec());
     }
     receiver.join().unwrap();
 }
@@ -68,15 +71,16 @@ fn channel_fabric_supports_all_pairs_concurrently() {
         ($ty:ty, $peers:expr) => {{
             let c = channel.clone();
             handles.push(std::thread::spawn(move || {
-                let t = LocalTransport::new(<$ty>::default(), c);
+                let endpoint = Endpoint::new(LocalTransport::new(<$ty>::default(), c));
+                let session = endpoint.session_with_id(0);
                 let peers: &[&str] = $peers;
                 // Send a greeting to every peer, then collect one from each.
                 for p in peers {
-                    t.send(p, format!("hi-{p}").as_bytes()).unwrap();
+                    session.send_bytes(p, format!("hi-{p}").as_bytes()).unwrap();
                 }
                 let mut got = Vec::new();
                 for p in peers {
-                    got.push(String::from_utf8(t.receive(p).unwrap()).unwrap());
+                    got.push(String::from_utf8(session.receive_bytes(p).unwrap()).unwrap());
                 }
                 got
             }));
@@ -107,8 +111,9 @@ fn tcp_rejects_unknown_peers_without_blocking() {
         .build::<Duo>()
         .unwrap();
     let t = TcpTransport::bind(N0, config).unwrap();
-    assert!(matches!(t.send("Nobody", b"x"), Err(TransportError::UnknownLocation(_))));
-    assert!(matches!(t.receive("Nobody"), Err(TransportError::UnknownLocation(_))));
+    let sent = t.send_frame("Nobody", Envelope::new(0, 0, b"x".to_vec()));
+    assert!(matches!(sent, Err(TransportError::UnknownLocation(_))));
+    assert!(matches!(t.receive_frame(0, "Nobody"), Err(TransportError::UnknownLocation(_))));
 }
 
 #[test]

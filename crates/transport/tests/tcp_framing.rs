@@ -8,13 +8,15 @@
 //! segmentation. These tests connect a raw socket, perform the
 //! handshake, and drip envelope frames through chunk sizes
 //! N ∈ {1, 2, 7, 4096}, asserting the demultiplexed frames match what a
-//! single contiguous write produces.
+//! single contiguous write produces. One more pins the handshake
+//! itself: an acceptor refuses any link mode but the resilient one.
 
 use chorus_core::SessionTransport as _;
 use chorus_transport::{free_local_addrs, TcpConfigBuilder, TcpTransport};
-use chorus_wire::Envelope;
-use std::io::Write;
-use std::net::TcpStream;
+use chorus_wire::{ControlFrame, Envelope, LinkFrame};
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 chorus_core::locations! { N0, N1 }
 type Duo = chorus_core::LocationSet!(N0, N1);
@@ -41,27 +43,51 @@ fn wire_bytes(link_seq: u64, frame: &Envelope) -> Vec<u8> {
     out
 }
 
-/// Binds a receiver for `N1`, connects a raw socket posing as `N0`, and
-/// returns both.
-fn receiver_and_raw_sender() -> (TcpTransport<Duo, N1>, TcpStream) {
+/// The handshake's link mode byte for a resilient sender.
+const MODE_RESILIENT: u8 = 1;
+
+/// Binds a receiver for `N1` and returns it with its address.
+fn bind_receiver() -> (TcpTransport<Duo, N1>, SocketAddr) {
     let addrs = free_local_addrs(2).unwrap();
     let config = TcpConfigBuilder::new()
         .location(N0, addrs[0])
         .location(N1, addrs[1])
         .build::<Duo>()
         .unwrap();
-    // The listener is bound before `bind` returns, so a single connect
-    // suffices (the OS backlog holds it until the acceptor thread runs).
-    let receiver = TcpTransport::bind(N1, config).unwrap();
-    let mut stream = TcpStream::connect(addrs[1]).unwrap();
+    (TcpTransport::bind(N1, config).unwrap(), addrs[1])
+}
+
+/// Connects a raw socket to `addr` posing as `N0` and sends the
+/// handshake: a length-prefixed frame carrying the link mode byte and
+/// the sender's name. The listener is bound before `bind` returns, so
+/// a single connect suffices (the OS backlog holds it until the
+/// acceptor thread runs).
+fn raw_handshake(addr: SocketAddr, mode: u8) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
     stream.set_nodelay(true).unwrap();
-    // Handshake: a length-prefixed frame carrying the link mode byte
-    // (0 = plain, so the receiver sends no resume cursor or acks this
-    // raw socket would never read) and the sender's name.
-    let hello = [&[0u8][..], b"N0"].concat();
+    let hello = [&[mode][..], b"N0"].concat();
     stream.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
     stream.write_all(&hello).unwrap();
     stream.flush().unwrap();
+    stream
+}
+
+/// Binds a receiver for `N1`, connects a raw socket posing as a
+/// resilient `N0`, and returns both once the receiver's resume cursor
+/// has been read off the socket. (The acks the receiver sends later
+/// are never read; they sit harmlessly in the socket buffer.)
+fn receiver_and_raw_sender() -> (TcpTransport<Duo, N1>, TcpStream) {
+    let (receiver, addr) = bind_receiver();
+    let mut stream = raw_handshake(addr, MODE_RESILIENT);
+    let mut len = [0u8; 4];
+    stream.read_exact(&mut len).unwrap();
+    let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+    stream.read_exact(&mut body).unwrap();
+    assert_eq!(
+        LinkFrame::decode(&body).unwrap(),
+        LinkFrame::Control(ControlFrame::Resume { next: 0 }),
+        "a fresh link resumes from frame 0"
+    );
     (receiver, stream)
 }
 
@@ -161,4 +187,31 @@ fn a_large_frame_dripped_byte_wise_still_reassembles() {
             "chunk size {chunk} corrupted a large frame"
         );
     }
+}
+
+#[test]
+fn a_handshake_in_any_other_mode_is_refused() {
+    let (receiver, addr) = bind_receiver();
+    let mut stream = raw_handshake(addr, 0);
+    // A well-formed data frame right behind the hello: had the acceptor
+    // admitted the connection, it would land in session 1's mailbox.
+    let smuggled = Envelope::new(1, 0, b"smuggled".to_vec());
+    let _ = stream.write_all(&wire_bytes(0, &smuggled));
+    // The acceptor sends no resume cursor and closes the connection (a
+    // reset when our frame was still unread in its socket buffer).
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut buf = [0u8; 64];
+    match stream.read(&mut buf) {
+        Ok(0) => {}
+        Err(e)
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::ConnectionReset | std::io::ErrorKind::ConnectionAborted
+            ) => {}
+        other => panic!("expected the refused connection to close, got {other:?}"),
+    }
+    assert!(
+        receiver.try_receive_frame(1, "N0").unwrap().is_none(),
+        "nothing from a refused connection may reach a mailbox"
+    );
 }
