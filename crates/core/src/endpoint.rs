@@ -23,7 +23,7 @@
 
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::session::Session;
-use crate::transport::{SessionId, SessionTransport};
+use crate::transport::{InternedNames, SessionId, SessionTransport};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -86,6 +86,9 @@ impl<L: Layer + ?Sized> Layer for std::sync::Arc<L> {
 /// choreography its own session.
 pub struct Endpoint<TL, Target, T> {
     transport: T,
+    /// The census names, resolved once per endpoint so the session core
+    /// validates destinations without allocating per session or message.
+    pub(crate) names: InternedNames,
     layers: Vec<Box<dyn Layer>>,
     next_session: AtomicU64,
     phantom: PhantomData<fn() -> (TL, Target)>,
@@ -120,6 +123,7 @@ where
     pub fn new(transport: T) -> Self {
         Endpoint {
             transport,
+            names: InternedNames::of::<TL>(),
             layers: Vec::new(),
             next_session: AtomicU64::new(0),
             phantom: PhantomData,
@@ -185,8 +189,8 @@ where
     /// interoperate freely.
     ///
     /// The endpoint is taken by `&Arc` because the pool outlives any
-    /// particular stack frame; tests that need their own pool size or
-    /// watchdog construct a [`SessionRuntime`](crate::SessionRuntime)
+    /// particular stack frame; tests that need their own pool size
+    /// construct a [`SessionRuntime`](crate::SessionRuntime)
     /// explicitly and call its `spawn` instead.
     pub fn spawn_session<P: crate::RoleProgram>(
         self: &std::sync::Arc<Self>,
@@ -252,6 +256,7 @@ where
     pub fn build(self) -> Endpoint<TL, Target, T> {
         Endpoint {
             transport: self.transport,
+            names: InternedNames::of::<TL>(),
             layers: self.layers,
             next_session: AtomicU64::new(0),
             phantom: PhantomData,

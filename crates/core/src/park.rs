@@ -42,17 +42,19 @@ pub(crate) fn thread_waker() -> MailboxWaker {
 
 /// The workspace-wide default watchdog timeout for bounded parks.
 ///
-/// Every watchdog in the workspace — the blocking receive's stall
-/// deadline, the pooled session runtime's stall detector — derives its
-/// default deadline from this one place instead of hard-coding an ad
-/// hoc per-call-site constant. Override it with the `CHORUS_WATCHDOG_MS`
+/// It is the default
+/// [`SessionTransport::stall_deadline`](crate::SessionTransport::stall_deadline),
+/// the one deadline that bounds a blocking receive, a pooled session
+/// parked on a mailbox and a TCP sender parked at its retention
+/// watermark. Override it with the `CHORUS_WATCHDOG_MS`
 /// environment variable (milliseconds, read once per process); the
 /// built-in default is 30 000 ms.
 ///
 /// A CI job that wants hangs to surface fast sets `CHORUS_WATCHDOG_MS`
 /// low; a debugging session that wants to poke around under a debugger
 /// sets it high. Code that needs a *specific* deadline (e.g. a test
-/// pinning watchdog behavior) still passes one explicitly.
+/// pinning watchdog behavior) runs over a transport that carries its
+/// own, such as a simulated one with `FaultPlan::with_watchdog`.
 pub fn default_watchdog() -> Duration {
     static MILLIS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
     let millis = *MILLIS.get_or_init(|| {

@@ -40,11 +40,13 @@
 //!
 //! Woken sessions go to the *back* of the FIFO run queue, so a chatty
 //! session cannot starve its neighbors. A watchdog thread sweeps parked
-//! sessions and resolves any that has waited longer than the runtime's
-//! deadline (default [`park::default_watchdog`], env-overridable via
-//! `CHORUS_WATCHDOG_MS`) with a [`TransportError::Protocol`] — the
-//! same surface-the-stall-instead-of-hanging contract the blocking
-//! receive's deadline keeps.
+//! sessions and resolves any that has waited longer than its own
+//! transport's [`stall_deadline`](SessionTransport::stall_deadline)
+//! (by default [`park::default_watchdog`](crate::park::default_watchdog),
+//! env-overridable via `CHORUS_WATCHDOG_MS`) with the very error a
+//! blocking receive raises on that edge. The sweep runs at a quarter of
+//! the smallest deadline spawned so far (between 10 ms and 1 s), so a
+//! stall surfaces within about 1.25 deadlines.
 //!
 //! ```ignore
 //! let runtime = SessionRuntime::new(4);
@@ -55,14 +57,15 @@
 //! ```
 
 use crate::choreography::Portable;
-use crate::endpoint::{Endpoint, MessageCtx};
+use crate::endpoint::Endpoint;
 use crate::location::{ChoreographyLocation, LocationSet};
-use crate::park::{self, WaitQueue};
-use crate::transport::{InternedNames, MailboxWaker, SessionId, SessionTransport, TransportError};
-use chorus_wire::{Bytes, Envelope};
-use std::collections::{HashMap, VecDeque};
+use crate::park::WaitQueue;
+use crate::session::{ErasedEndpoint, SendState};
+use crate::transport::{stall_error, MailboxWaker, SessionId, SessionTransport, TransportError};
+use chorus_wire::Bytes;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -106,15 +109,18 @@ pub trait RoleProgram: Send + 'static {
 /// handed to every [`resume`](RoleProgram::resume) call.
 ///
 /// A `SessionCx` is the pooled counterpart of a blocking
-/// [`Session`](crate::Session): sends stamp per-edge sequence numbers
-/// and pass the layer stack exactly like [`Session::send_value`]
-/// (one serialization into a reusable per-session scratch buffer, one
+/// [`Session`](crate::Session) and runs over the same session core:
+/// sends stamp per-edge sequence numbers and pass the layer stack
+/// exactly like [`Session::send_value`](crate::Session::send_value)
+/// (one serialization into the role's reusable scratch buffer, one
 /// shared payload allocation), and receives are **non-blocking** — a
 /// miss records the awaited edge so the runtime knows which mailbox to
 /// park the session on.
 pub struct SessionCx<'a> {
-    ops: &'a mut dyn CxOps,
-    scratch: &'a mut Vec<u8>,
+    endpoint: &'a dyn ErasedEndpoint,
+    id: SessionId,
+    target: &'static str,
+    send: &'a mut SendState,
     /// The edge the program is blocked on, set by a failed receive.
     waiting: Option<&'static str>,
 }
@@ -122,12 +128,12 @@ pub struct SessionCx<'a> {
 impl SessionCx<'_> {
     /// This session's id.
     pub fn session_id(&self) -> SessionId {
-        self.ops.session_id()
+        self.id
     }
 
     /// The location this endpoint plays.
     pub fn target_name(&self) -> &'static str {
-        self.ops.target_name()
+        self.target
     }
 
     /// Serializes `value` and sends it to the location named `to`
@@ -138,9 +144,8 @@ impl SessionCx<'_> {
     /// Returns an error if `to` is unknown, the value fails to encode,
     /// or the link fails.
     pub fn send_value<V: Portable>(&mut self, to: &str, value: &V) -> Result<(), TransportError> {
-        self.scratch.clear();
-        chorus_wire::to_bytes_into(value, self.scratch)?;
-        self.ops.send_scratch(to, self.scratch)
+        let payload = self.send.encode(value)?;
+        self.endpoint.send(self.id, self.send, to, payload)
     }
 
     /// Attempts to receive and decode a value from the location named
@@ -161,12 +166,9 @@ impl SessionCx<'_> {
         &mut self,
         from: &str,
     ) -> Result<Option<V>, TransportError> {
-        match self.ops.try_receive_payload(from)? {
+        match self.try_receive_payload(from)? {
             Some(payload) => Ok(Some(chorus_wire::from_bytes(&payload)?)),
-            None => {
-                self.waiting = Some(self.ops.intern(from)?);
-                Ok(None)
-            }
+            None => Ok(None),
         }
     }
 
@@ -177,89 +179,11 @@ impl SessionCx<'_> {
     ///
     /// Returns an error if `from` is unknown or the link has failed.
     pub fn try_receive_payload(&mut self, from: &str) -> Result<Option<Bytes>, TransportError> {
-        match self.ops.try_receive_payload(from)? {
-            Some(payload) => Ok(Some(payload)),
-            None => {
-                self.waiting = Some(self.ops.intern(from)?);
-                Ok(None)
-            }
+        let payload = self.endpoint.try_receive(self.id, from)?;
+        if payload.is_none() {
+            self.waiting = Some(self.endpoint.resolve(from)?);
         }
-    }
-}
-
-/// Object-safe bridge between the untyped scheduler and one session's
-/// typed endpoint. Implemented by [`TypedOps`], which owns the per-task
-/// sequence counters — tasks are polled by one worker at a time, so no
-/// locking is needed around them.
-trait CxOps: Send {
-    fn session_id(&self) -> SessionId;
-    fn target_name(&self) -> &'static str;
-    fn intern(&self, name: &str) -> Result<&'static str, TransportError>;
-    fn send_scratch(&mut self, to: &str, payload: &[u8]) -> Result<(), TransportError>;
-    fn try_receive_payload(&mut self, from: &str) -> Result<Option<Bytes>, TransportError>;
-    fn register_waker(
-        &mut self,
-        from: &'static str,
-        waker: &MailboxWaker,
-    ) -> Result<bool, TransportError>;
-}
-
-struct TypedOps<TL, Target, T>
-where
-    TL: LocationSet,
-    Target: ChoreographyLocation,
-    T: SessionTransport<TL, Target>,
-{
-    endpoint: Arc<Endpoint<TL, Target, T>>,
-    id: SessionId,
-    names: InternedNames,
-    seqs: HashMap<&'static str, u64>,
-}
-
-impl<TL, Target, T> CxOps for TypedOps<TL, Target, T>
-where
-    TL: LocationSet + 'static,
-    Target: ChoreographyLocation + 'static,
-    T: SessionTransport<TL, Target> + Send + Sync + 'static,
-{
-    fn session_id(&self) -> SessionId {
-        self.id
-    }
-
-    fn target_name(&self) -> &'static str {
-        Target::NAME
-    }
-
-    fn intern(&self, name: &str) -> Result<&'static str, TransportError> {
-        self.names.resolve(name)
-    }
-
-    fn send_scratch(&mut self, to: &str, payload: &[u8]) -> Result<(), TransportError> {
-        let to = self.names.resolve(to)?;
-        let payload = Bytes::copy_from_slice(payload);
-        let counter = self.seqs.entry(to).or_insert(0);
-        let seq = *counter;
-        *counter += 1;
-        let ctx = MessageCtx { session: self.id, seq, from: Target::NAME, to };
-        self.endpoint.notify_send(&ctx, &payload);
-        self.endpoint.transport().send_frame(to, Envelope::new(self.id, seq, payload))
-    }
-
-    fn try_receive_payload(&mut self, from: &str) -> Result<Option<Bytes>, TransportError> {
-        let Some(envelope) = self.endpoint.transport().try_receive_frame(self.id, from)? else {
-            return Ok(None);
-        };
-        let ctx = MessageCtx { session: self.id, seq: envelope.seq, from, to: Target::NAME };
-        self.endpoint.notify_receive(&ctx, &envelope.payload);
-        Ok(Some(envelope.payload))
-    }
-
-    fn register_waker(
-        &mut self,
-        from: &'static str,
-        waker: &MailboxWaker,
-    ) -> Result<bool, TransportError> {
-        self.endpoint.transport().register_waker(self.id, from, Arc::clone(waker))
+        Ok(payload)
     }
 }
 
@@ -290,8 +214,8 @@ impl<V> SessionHandle<V> {
     ///
     /// # Errors
     ///
-    /// Returns the transport/protocol error that failed the session, a
-    /// `Protocol` error naming the awaited edge if the stall watchdog
+    /// Returns the transport/protocol error that failed the session, the
+    /// transport's stall error for the awaited edge if the watchdog
     /// fired, or a `Protocol` error if the program panicked.
     pub fn join(self) -> Result<V, TransportError> {
         let mut guard = self.cell.lock();
@@ -328,8 +252,8 @@ enum PollOutcome {
     /// registration time: re-enqueue immediately (to the back — FIFO
     /// fairness).
     Ready,
-    /// The task parked on `edge`; a transport waker will re-enqueue it.
-    Parked(&'static str),
+    /// The task parked; a transport waker will re-enqueue it.
+    Parked,
 }
 
 type PollFn = Box<dyn FnMut(&TaskEntry) -> PollOutcome + Send>;
@@ -348,9 +272,10 @@ struct TaskEntry {
     /// with a stall error instead of resuming the program (unless the
     /// program can in fact complete on that final resume).
     timed_out: AtomicBool,
-    /// While parked: when the park began and on which edge, for the
-    /// watchdog sweep.
-    parked: Mutex<Option<(Instant, &'static str)>>,
+    /// While parked: when the park began, for the watchdog sweep.
+    parked: Mutex<Option<Instant>>,
+    /// The stall deadline of the transport this task runs over.
+    deadline: Duration,
     /// This task's slot in the slab, freed on completion.
     index: usize,
 }
@@ -392,8 +317,9 @@ impl TaskSlab {
 struct RuntimeShared {
     queue: WaitQueue<RunQueue>,
     tasks: Mutex<TaskSlab>,
-    /// Stall deadline for parked sessions.
-    watchdog: Duration,
+    /// The smallest stall deadline of any task spawned, in
+    /// milliseconds: it paces the watchdog's sweep.
+    shortest_deadline_ms: AtomicU64,
     /// Park/wake for the watchdog thread's sweep cadence.
     watchdog_gate: WaitQueue<bool>,
 }
@@ -409,13 +335,7 @@ fn wake_task(shared: &RuntimeShared, entry: &Arc<TaskEntry>) {
                     .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
-                    let mut queue = shared.queue.lock();
-                    queue.ready.push_back(Arc::clone(entry));
-                    drop(queue);
-                    // One task became runnable; wake one worker, not the
-                    // whole pool (they all wait on the same pop-or-stop
-                    // predicate, so any worker can take it).
-                    shared.queue.notify_one();
+                    enqueue(shared, entry);
                     return;
                 }
             }
@@ -432,6 +352,14 @@ fn wake_task(shared: &RuntimeShared, entry: &Arc<TaskEntry>) {
             _ => return,
         }
     }
+}
+
+/// Puts a task at the back of the run queue. One task became runnable,
+/// so this wakes one worker, not the whole pool (they all wait on the
+/// same pop-or-stop predicate, so any worker can take it).
+fn enqueue(shared: &RuntimeShared, entry: &Arc<TaskEntry>) {
+    shared.queue.lock().ready.push_back(Arc::clone(entry));
+    shared.queue.notify_one();
 }
 
 fn worker_loop(shared: Arc<RuntimeShared>) {
@@ -466,14 +394,10 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
             }
             PollOutcome::Ready => {
                 entry.state.store(QUEUED, Ordering::Release);
-                let mut queue = shared.queue.lock();
-                queue.ready.push_back(Arc::clone(&entry));
-                drop(queue);
-                shared.queue.notify_one();
+                enqueue(&shared, &entry);
             }
-            PollOutcome::Parked(edge) => {
-                *entry.parked.lock().expect("task park info poisoned") =
-                    Some((Instant::now(), edge));
+            PollOutcome::Parked => {
+                *entry.parked.lock().expect("task park info poisoned") = Some(Instant::now());
                 if entry
                     .state
                     .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
@@ -482,10 +406,7 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
                     // A waker fired mid-poll (state became NOTIFIED):
                     // the deposit already happened, so re-enqueue now.
                     entry.state.store(QUEUED, Ordering::Release);
-                    let mut queue = shared.queue.lock();
-                    queue.ready.push_back(Arc::clone(&entry));
-                    drop(queue);
-                    shared.queue.notify_one();
+                    enqueue(&shared, &entry);
                 }
             }
         }
@@ -493,15 +414,19 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
 }
 
 fn watchdog_loop(shared: Arc<RuntimeShared>) {
-    // Sweep often enough that a stall surfaces within ~1.25 deadlines,
-    // but never busier than every 10ms.
-    let interval = (shared.watchdog / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
     loop {
         {
             let guard = shared.watchdog_gate.lock();
             if *guard {
                 return;
             }
+            // Sweep often enough that a stall surfaces within ~1.25 of
+            // the smallest deadline spawned, but never busier than every
+            // 10ms. Read under the gate, so a spawn that lowers it
+            // cannot slip its wake-up in before this wait.
+            let shortest =
+                Duration::from_millis(shared.shortest_deadline_ms.load(Ordering::Relaxed));
+            let interval = (shortest / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
             let (guard, _timed_out) =
                 shared.watchdog_gate.wait_deadline(guard, Instant::now() + interval);
             if *guard {
@@ -518,7 +443,7 @@ fn watchdog_loop(shared: Arc<RuntimeShared>) {
                         .parked
                         .lock()
                         .expect("task park info poisoned")
-                        .is_some_and(|(since, _)| since.elapsed() >= shared.watchdog)
+                        .is_some_and(|since| since.elapsed() >= entry.deadline)
                 })
                 .cloned()
                 .collect()
@@ -543,20 +468,17 @@ pub struct SessionRuntime {
 }
 
 impl SessionRuntime {
-    /// Creates a runtime with `pool_size` workers (clamped to ≥ 1) and
-    /// the workspace default stall deadline
-    /// ([`park::default_watchdog`]).
+    /// Creates a runtime with `pool_size` workers (clamped to ≥ 1).
+    ///
+    /// A session parked longer than its transport's
+    /// [`stall_deadline`](SessionTransport::stall_deadline) resolves
+    /// with that transport's stall error.
     pub fn new(pool_size: usize) -> Self {
-        Self::with_watchdog(pool_size, park::default_watchdog())
-    }
-
-    /// Creates a runtime with an explicit stall deadline.
-    pub fn with_watchdog(pool_size: usize, watchdog: Duration) -> Self {
         let pool_size = pool_size.max(1);
         let shared = Arc::new(RuntimeShared {
             queue: WaitQueue::new(RunQueue::default()),
             tasks: Mutex::new(TaskSlab::default()),
-            watchdog,
+            shortest_deadline_ms: AtomicU64::new(u64::MAX),
             watchdog_gate: WaitQueue::new(false),
         });
         let workers = (0..pool_size)
@@ -611,12 +533,13 @@ impl SessionRuntime {
     /// with [`Endpoint::session_with_id`]; pooled and blocking roles of
     /// one session may be mixed freely (a pooled server can serve a
     /// blocking client). The returned handle resolves when the program
-    /// completes, errors, panics, or stalls past the watchdog deadline.
+    /// completes, errors, panics, or stalls past the transport's
+    /// [`stall_deadline`](SessionTransport::stall_deadline).
     pub fn spawn<TL, Target, T, P>(
         &self,
         endpoint: &Arc<Endpoint<TL, Target, T>>,
         id: SessionId,
-        program: P,
+        mut program: P,
     ) -> SessionHandle<P::Output>
     where
         TL: LocationSet + 'static,
@@ -626,107 +549,72 @@ impl SessionRuntime {
     {
         let cell: Arc<WaitQueue<Option<Result<P::Output, TransportError>>>> =
             Arc::new(WaitQueue::new(None));
-        let mut ops = TypedOps {
-            endpoint: Arc::clone(endpoint),
-            id,
-            names: InternedNames::of::<TL>(),
-            seqs: HashMap::new(),
-        };
-        let mut program = program;
-        let mut scratch: Vec<u8> = Vec::new();
+        let endpoint = Arc::clone(endpoint);
+        let deadline = endpoint.transport().stall_deadline();
+        let deadline_ms = u64::try_from(deadline.as_millis()).unwrap_or(u64::MAX);
+        if self.shared.shortest_deadline_ms.fetch_min(deadline_ms, Ordering::Relaxed) > deadline_ms
+        {
+            // A tighter deadline than any before: re-pace the sweep now.
+            drop(self.shared.watchdog_gate.lock());
+            self.shared.watchdog_gate.notify_all();
+        }
+        let mut send = SendState::default();
         let result_cell = Arc::clone(&cell);
-        let complete = move |result: Result<P::Output, TransportError>| {
+        let mut complete = Some(move |result: Result<P::Output, TransportError>| {
             *result_cell.lock() = Some(result);
             result_cell.notify_all();
-        };
-        let mut complete = Some(complete);
-        let mut parked_edge: Option<&'static str> = None;
-        // When this program first parked on the edge it is still waiting
-        // on, so a stall error can report how long the session actually
-        // waited (the slab's own park stamp is cleared before each poll).
-        let mut parked_since: Option<Instant> = None;
-        let watchdog = self.shared.watchdog;
-
-        // Packages the one-shot completion as a deferred thunk; the
-        // worker runs it after reclaiming the task's slab slot.
-        fn deferred<V, F>(
-            complete: &mut Option<F>,
-            result: Result<V, TransportError>,
-        ) -> Option<Box<dyn FnOnce() + Send>>
-        where
-            V: Send + 'static,
-            F: FnOnce(Result<V, TransportError>) + Send + 'static,
-        {
-            complete.take().map(|c| Box::new(move || c(result)) as Box<dyn FnOnce() + Send>)
-        }
+        });
 
         let poll: PollFn = Box::new(move |entry: &TaskEntry| {
-            let mut cx = SessionCx { ops: &mut ops, scratch: &mut scratch, waiting: None };
+            let mut cx = SessionCx {
+                endpoint: &*endpoint,
+                id,
+                target: Target::NAME,
+                send: &mut send,
+                waiting: None,
+            };
             let resumed = catch_unwind(AssertUnwindSafe(|| program.resume(&mut cx)));
             let waiting = cx.waiting;
-            match resumed {
-                Ok(Ok(Step::Done(value))) => PollOutcome::Done(deferred(&mut complete, Ok(value))),
-                Ok(Err(e)) => PollOutcome::Done(deferred(&mut complete, Err(e))),
+            let result = match resumed {
+                Ok(Ok(Step::Done(value))) => Ok(value),
+                Ok(Err(e)) => Err(e),
                 Err(panic) => {
                     let message = panic
                         .downcast_ref::<&str>()
                         .map(|s| (*s).to_string())
                         .or_else(|| panic.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "non-string panic payload".to_string());
-                    PollOutcome::Done(deferred(
-                        &mut complete,
-                        Err(TransportError::Protocol(format!(
-                            "session {id} role program panicked: {message}"
-                        ))),
-                    ))
+                    Err(TransportError::Protocol(format!(
+                        "session {id} role program panicked: {message}"
+                    )))
                 }
-                Ok(Ok(Step::Pending)) => {
-                    // The program could not finish. If the watchdog has
-                    // already flagged the stall, this resume was its
-                    // grace attempt — resolve with the stall error.
-                    if entry.timed_out.load(Ordering::Acquire) {
-                        let edge = parked_edge.or(waiting).unwrap_or("<unknown>");
-                        let waited = parked_since.map_or(watchdog, |since| since.elapsed());
-                        return PollOutcome::Done(deferred(
-                            &mut complete,
-                            Err(TransportError::Protocol(format!(
-                                "pooled runtime watchdog: session {id} stalled waiting on \
-                                 {edge}: no frame arrived in {}ms (configured deadline \
-                                 {}ms)",
-                                waited.as_millis(),
-                                watchdog.as_millis()
-                            ))),
-                        ));
+                Ok(Ok(Step::Pending)) => match waiting {
+                    // Pending without a recorded receive would park
+                    // forever: surface the bug instead of hanging.
+                    None => Err(TransportError::Protocol(format!(
+                        "session {id} yielded without a pending receive (RoleProgram returned \
+                         Step::Pending but no try_receive_* came up empty)"
+                    ))),
+                    // The watchdog flagged the stall and this resume was
+                    // its grace attempt: the program still cannot finish.
+                    Some(edge) if entry.timed_out.load(Ordering::Acquire) => {
+                        Err(stall_error(id, edge, Target::NAME, deadline))
                     }
-                    let Some(edge) = waiting else {
-                        // Pending without a recorded receive would park
-                        // forever: surface the bug instead of hanging.
-                        return PollOutcome::Done(deferred(
-                            &mut complete,
-                            Err(TransportError::Protocol(format!(
-                                "session {id} yielded without a pending receive \
-                                 (RoleProgram returned Step::Pending but no \
-                                 try_receive_* came up empty)"
-                            ))),
-                        ));
-                    };
-                    if parked_edge != Some(edge) {
-                        parked_since = None;
-                    }
-                    parked_edge = Some(edge);
-                    match cxops_register(&mut ops, edge, &entry.waker) {
-                        Ok(true) => {
-                            parked_since = None;
-                            PollOutcome::Ready
+                    Some(edge) => {
+                        let waker = Arc::clone(&entry.waker);
+                        match endpoint.transport().register_waker(id, edge, waker) {
+                            Ok(true) => return PollOutcome::Ready,
+                            Ok(false) => return PollOutcome::Parked,
+                            Err(e) => Err(e),
                         }
-                        Ok(false) => {
-                            parked_since.get_or_insert_with(Instant::now);
-                            PollOutcome::Parked(edge)
-                        }
-                        Err(e) => PollOutcome::Done(deferred(&mut complete, Err(e))),
                     }
-                }
-            }
+                },
+            };
+            // The worker runs this thunk after reclaiming the task's
+            // slab slot.
+            PollOutcome::Done(
+                complete.take().map(|c| Box::new(move || c(result)) as Box<dyn FnOnce() + Send>),
+            )
         });
 
         let entry = {
@@ -748,27 +636,15 @@ impl SessionRuntime {
                         }),
                         timed_out: AtomicBool::new(false),
                         parked: Mutex::new(None),
+                        deadline,
                         index,
                     }
                 })
             })
         };
-        let mut queue = self.shared.queue.lock();
-        queue.ready.push_back(entry);
-        drop(queue);
-        self.shared.queue.notify_one();
+        enqueue(&self.shared, &entry);
         SessionHandle { cell, id }
     }
-}
-
-/// Free-function shim so the poll closure can re-register through the
-/// `dyn CxOps` without naming the concrete type.
-fn cxops_register(
-    ops: &mut dyn CxOps,
-    edge: &'static str,
-    waker: &MailboxWaker,
-) -> Result<bool, TransportError> {
-    ops.register_waker(edge, waker)
 }
 
 impl Drop for SessionRuntime {

@@ -5,6 +5,14 @@
 //! projection as dependency injection (§5.2): every message travels in
 //! a [`chorus_wire::Envelope`] tagged with the session id, so any number
 //! of sessions can run concurrently over one transport.
+//!
+//! This module is also the **session core** both execution models
+//! share. [`Endpoint::send_payload`], [`Endpoint::try_receive_payload`]
+//! and [`Endpoint::receive_payload`] are the only code that resolves a
+//! destination, stamps a sequence number, runs the layer stack and
+//! touches the transport. A blocking [`Session`] and a pooled
+//! [`SessionCx`](crate::SessionCx) differ only in who owns the role's
+//! [`SendState`] and in how a receive waits.
 
 use crate::choreography::{ChoreoOp, Choreography, CommFailure, CommFailureKind, Portable};
 use crate::endpoint::{Endpoint, MessageCtx};
@@ -12,11 +20,130 @@ use crate::faceted::Faceted;
 use crate::located::{Located, MultiplyLocated, Unwrapper};
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::member::{Member, Subset};
-use crate::transport::{InternedNames, SessionId, SessionTransport, TransportError};
+use crate::transport::{SessionId, SessionTransport, TransportError};
 use chorus_wire::{Bytes, Envelope};
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
+
+/// One role's send state within one session: a sequence counter per
+/// destination and the reusable encode buffer.
+///
+/// A blocking [`Session`] keeps it behind a mutex; a pooled task owns it
+/// outright, because the runtime polls a task on one worker at a time.
+#[derive(Default)]
+pub(crate) struct SendState {
+    seqs: HashMap<&'static str, u64>,
+    scratch: Vec<u8>,
+}
+
+impl SendState {
+    /// Serializes `value` once into the scratch buffer and returns it as
+    /// a shared, cheaply-cloneable payload.
+    pub(crate) fn encode<V: Portable>(&mut self, value: &V) -> Result<Bytes, TransportError> {
+        self.scratch.clear();
+        chorus_wire::to_bytes_into(value, &mut self.scratch)?;
+        Ok(Bytes::copy_from_slice(&self.scratch))
+    }
+}
+
+impl<TL, Target, T> Endpoint<TL, Target, T>
+where
+    TL: LocationSet,
+    Target: ChoreographyLocation,
+    T: SessionTransport<TL, Target>,
+{
+    /// Stamps the next sequence number for `to` in `session` and puts
+    /// `payload` on the wire, passing it through the layer stack.
+    pub(crate) fn send_payload(
+        &self,
+        session: SessionId,
+        state: &mut SendState,
+        to: &str,
+        payload: Bytes,
+    ) -> Result<(), TransportError> {
+        let to = self.names.resolve(to)?;
+        let counter = state.seqs.entry(to).or_insert(0);
+        let seq = *counter;
+        *counter += 1;
+        let ctx = MessageCtx { session, seq, from: Target::NAME, to };
+        self.notify_send(&ctx, &payload);
+        self.transport().send_frame(to, Envelope::new(session, seq, payload))
+    }
+
+    /// Pops the next payload of `session` from `from` if one is already
+    /// deliverable, passing it through the layer stack; `Ok(None)` when
+    /// the mailbox is merely empty.
+    pub(crate) fn try_receive_payload(
+        &self,
+        session: SessionId,
+        from: &str,
+    ) -> Result<Option<Bytes>, TransportError> {
+        let envelope = self.transport().try_receive_frame(session, from)?;
+        Ok(envelope.map(|envelope| self.delivered(session, from, envelope)))
+    }
+
+    /// Blocks until a payload of `session` from `from` arrives (or the
+    /// transport's stall deadline passes), passing it through the layer
+    /// stack.
+    pub(crate) fn receive_payload(
+        &self,
+        session: SessionId,
+        from: &str,
+    ) -> Result<Bytes, TransportError> {
+        let envelope = self.transport().receive_frame(session, from)?;
+        Ok(self.delivered(session, from, envelope))
+    }
+
+    fn delivered(&self, session: SessionId, from: &str, envelope: Envelope) -> Bytes {
+        let ctx = MessageCtx { session, seq: envelope.seq, from, to: Target::NAME };
+        self.notify_receive(&ctx, &envelope.payload);
+        envelope.payload
+    }
+}
+
+/// The type-erased view of an endpoint's session core that a pooled
+/// [`SessionCx`](crate::SessionCx) drives, so the untyped scheduler can
+/// hand any role program its endpoint.
+pub(crate) trait ErasedEndpoint {
+    /// Resolves `name` to its interned census entry.
+    fn resolve(&self, name: &str) -> Result<&'static str, TransportError>;
+    /// [`Endpoint::send_payload`].
+    fn send(
+        &self,
+        session: SessionId,
+        state: &mut SendState,
+        to: &str,
+        payload: Bytes,
+    ) -> Result<(), TransportError>;
+    /// [`Endpoint::try_receive_payload`].
+    fn try_receive(&self, session: SessionId, from: &str) -> Result<Option<Bytes>, TransportError>;
+}
+
+impl<TL, Target, T> ErasedEndpoint for Endpoint<TL, Target, T>
+where
+    TL: LocationSet,
+    Target: ChoreographyLocation,
+    T: SessionTransport<TL, Target>,
+{
+    fn resolve(&self, name: &str) -> Result<&'static str, TransportError> {
+        self.names.resolve(name)
+    }
+
+    fn send(
+        &self,
+        session: SessionId,
+        state: &mut SendState,
+        to: &str,
+        payload: Bytes,
+    ) -> Result<(), TransportError> {
+        self.send_payload(session, state, to, payload)
+    }
+
+    fn try_receive(&self, session: SessionId, from: &str) -> Result<Option<Bytes>, TransportError> {
+        self.try_receive_payload(session, from)
+    }
+}
 
 /// One choreography run multiplexed over an [`Endpoint`].
 ///
@@ -34,14 +161,11 @@ where
 {
     endpoint: &'e Endpoint<TL, Target, T>,
     id: SessionId,
-    seqs: Mutex<HashMap<&'static str, u64>>,
-    /// The census names, resolved once at session creation so the send
-    /// path validates destinations without allocating per message.
-    names: InternedNames,
-    /// Reusable per-session encode buffer: values serialize into this
-    /// scratch space, then the bytes are copied once into the shared
-    /// payload buffer that travels in the frame.
-    scratch: Mutex<Vec<u8>>,
+    /// Held across each transport send: a session is one sequential run,
+    /// but `Session` is `Sync`, and a session shared across threads must
+    /// still put frames on the wire in sequence order or the receiver's
+    /// tracker poisons the link for every session behind that sender.
+    send: Mutex<SendState>,
 }
 
 impl<'e, TL, Target, T> Session<'e, TL, Target, T>
@@ -51,41 +175,12 @@ where
     T: SessionTransport<TL, Target>,
 {
     pub(crate) fn new(endpoint: &'e Endpoint<TL, Target, T>, id: SessionId) -> Self {
-        Session {
-            endpoint,
-            id,
-            seqs: Mutex::new(HashMap::new()),
-            names: InternedNames::of::<TL>(),
-            scratch: Mutex::new(Vec::new()),
-        }
+        Session { endpoint, id, send: Mutex::default() }
     }
 
-    /// Serializes `value` once into the reusable scratch buffer and
-    /// returns it as a shared, cheaply-cloneable payload.
-    fn encode_payload<V: Portable>(&self, value: &V) -> Result<Bytes, TransportError> {
-        let mut scratch = self.scratch.lock().expect("session scratch buffer poisoned");
-        scratch.clear();
-        chorus_wire::to_bytes_into(value, &mut scratch)?;
-        Ok(Bytes::copy_from_slice(&scratch))
+    fn send_state(&self) -> MutexGuard<'_, SendState> {
+        self.send.lock().expect("session send state poisoned")
     }
-
-    /// Stamps the next sequence number for `to` and puts `payload` on
-    /// the wire, passing it through the layer stack.
-    fn send_payload(&self, to: &'static str, payload: Bytes) -> Result<(), TransportError> {
-        // Hold the counter lock across the transport send: a session is
-        // one sequential run, but `Session` is `Sync`, and a session
-        // shared across threads must still put frames on the wire in
-        // sequence order or the receiver's tracker poisons the link for
-        // every session behind that sender.
-        let mut seqs = self.seqs.lock().expect("session sequence counters poisoned");
-        let counter = seqs.entry(to).or_insert(0);
-        let seq = *counter;
-        *counter += 1;
-        let ctx = MessageCtx { session: self.id, seq, from: Target::NAME, to };
-        self.endpoint.notify_send(&ctx, &payload);
-        self.endpoint.transport().send_frame(to, Envelope::new(self.id, seq, payload))
-    }
-
     /// This session's id.
     pub fn id(&self) -> SessionId {
         self.id
@@ -196,8 +291,8 @@ where
     ///
     /// Returns an error if `to` is unknown or the link fails.
     pub fn send_bytes(&self, to: &str, payload: &[u8]) -> Result<(), TransportError> {
-        let to = self.names.resolve(to)?;
-        self.send_payload(to, Bytes::copy_from_slice(payload))
+        let payload = Bytes::copy_from_slice(payload);
+        self.endpoint.send_payload(self.id, &mut self.send_state(), to, payload)
     }
 
     /// Serializes `value` and sends it to the location named `to`
@@ -211,9 +306,9 @@ where
     /// Returns an error if `to` is unknown, the value fails to encode,
     /// or the link fails.
     pub fn send_value<V: Portable>(&self, to: &str, value: &V) -> Result<(), TransportError> {
-        let to = self.names.resolve(to)?;
-        let payload = self.encode_payload(value)?;
-        self.send_payload(to, payload)
+        let mut send = self.send_state();
+        let payload = send.encode(value)?;
+        self.endpoint.send_payload(self.id, &mut send, to, payload)
     }
 
     /// Serializes `value` **exactly once** and sends cheap clones of
@@ -237,10 +332,23 @@ where
         dests: impl IntoIterator<Item = &'n str>,
         value: &V,
     ) -> Result<Bytes, TransportError> {
-        let payload = self.encode_payload(value)?;
+        self.fan_out(dests, value).map_err(|(_, e)| e)
+    }
+
+    /// [`multicast_value`](Self::multicast_value), naming the peer a
+    /// failure involves: the destination whose send failed, or this
+    /// endpoint itself if the value failed to encode.
+    fn fan_out<'n, V: Portable>(
+        &self,
+        dests: impl IntoIterator<Item = &'n str>,
+        value: &V,
+    ) -> Result<Bytes, (&'n str, TransportError)> {
+        let mut send = self.send_state();
+        let payload = send.encode(value).map_err(|e| (Target::NAME, e))?;
         for dest in dests {
-            let to = self.names.resolve(dest)?;
-            self.send_payload(to, payload.clone())?;
+            self.endpoint
+                .send_payload(self.id, &mut send, dest, payload.clone())
+                .map_err(|e| (dest, e))?;
         }
         Ok(payload)
     }
@@ -255,35 +363,10 @@ where
     ///
     /// # Errors
     ///
-    /// Returns an error if `from` is unknown or the link fails before a
-    /// frame arrives.
+    /// Returns an error if `from` is unknown, the link fails before a
+    /// frame arrives, or the transport's stall deadline passes.
     pub fn receive_payload(&self, from: &str) -> Result<Bytes, TransportError> {
-        let envelope = self.endpoint.transport().receive_frame(self.id, from)?;
-        let ctx = MessageCtx { session: self.id, seq: envelope.seq, from, to: Target::NAME };
-        self.endpoint.notify_receive(&ctx, &envelope.payload);
-        Ok(envelope.payload)
-    }
-
-    /// Non-blocking variant of
-    /// [`receive_payload`](Session::receive_payload): pops the next
-    /// payload from `from`'s mailbox if one is already deliverable,
-    /// passing it through the layer stack, and returns `Ok(None)` when
-    /// the mailbox is merely empty.
-    ///
-    /// This is the receive shape the pooled session runtime is built
-    /// on: a would-block receive yields the session instead of parking
-    /// an OS thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `from` is unknown or the link has failed.
-    pub fn try_receive_payload(&self, from: &str) -> Result<Option<Bytes>, TransportError> {
-        let Some(envelope) = self.endpoint.transport().try_receive_frame(self.id, from)? else {
-            return Ok(None);
-        };
-        let ctx = MessageCtx { session: self.id, seq: envelope.seq, from, to: Target::NAME };
-        self.endpoint.notify_receive(&ctx, &envelope.payload);
-        Ok(Some(envelope.payload))
+        self.endpoint.receive_payload(self.id, from)
     }
 
     /// Like [`receive_payload`](Session::receive_payload), but copies
@@ -298,6 +381,15 @@ where
     pub fn receive_bytes(&self, from: &str) -> Result<Vec<u8>, TransportError> {
         self.receive_payload(from).map(|payload| payload.to_vec())
     }
+}
+
+/// Attributes a transport or codec error to `peer`.
+fn comm_failure(peer: &str, e: TransportError) -> CommFailure {
+    let kind = match e {
+        TransportError::Codec(_) => CommFailureKind::Decode(e.to_string()),
+        _ => CommFailureKind::Transport(e.to_string()),
+    };
+    CommFailure { peer: peer.to_string(), kind }
 }
 
 /// The injected operator implementations for session-scoped endpoint
@@ -321,26 +413,12 @@ where
     T: SessionTransport<TL, Target>,
 {
     fn receive_from<V: Portable>(&self, from: &str) -> V {
-        let bytes = self
-            .session
-            .receive_payload(from)
-            .unwrap_or_else(|e| panic!("failed to receive from {from}: {e}"));
-        chorus_wire::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("failed to decode message from {from}: {e}"))
+        self.try_receive_from(from).unwrap_or_else(|e| panic!("{e}"))
     }
 
     fn try_receive_from<V: Portable>(&self, from: &str) -> Result<V, CommFailure> {
-        let bytes = self.session.receive_payload(from).map_err(|e| CommFailure {
-            peer: from.to_string(),
-            kind: match &e {
-                TransportError::Codec(_) => CommFailureKind::Decode(e.to_string()),
-                _ => CommFailureKind::Transport(e.to_string()),
-            },
-        })?;
-        chorus_wire::from_bytes(&bytes).map_err(|e| CommFailure {
-            peer: from.to_string(),
-            kind: CommFailureKind::Decode(e.to_string()),
-        })
+        let bytes = self.session.receive_payload(from).map_err(|e| comm_failure(from, e))?;
+        chorus_wire::from_bytes(&bytes).map_err(|e| comm_failure(from, e.into()))
     }
 }
 
@@ -368,45 +446,15 @@ where
 
     fn multicast<Sender: ChoreographyLocation, V: Portable, D: LocationSet, Index1, Index2>(
         &self,
-        _src: Sender,
-        _destination: D,
+        src: Sender,
+        destination: D,
         data: &Located<V, Sender>,
     ) -> MultiplyLocated<V, D>
     where
         Sender: Member<ChoreoLS, Index1>,
         D: Subset<ChoreoLS, Index2>,
     {
-        let destinations = D::names();
-        if Sender::NAME == Target::NAME {
-            let value =
-                data.as_inner_option().expect("multicast: sender must hold the value it sends");
-            // One serialization, however many destinations: every remote
-            // recipient gets a cheap clone of the same payload buffer.
-            let payload = self
-                .session
-                .multicast_value(
-                    destinations.iter().copied().filter(|dest| *dest != Sender::NAME),
-                    value,
-                )
-                .unwrap_or_else(|e| panic!("failed to multicast: {e}"));
-            if destinations.contains(&Sender::NAME) {
-                // The sender keeps its copy via an in-memory round trip
-                // over the *same* encoded bytes the recipients got, so
-                // that `V` needs no `Clone` bound and serialization bugs
-                // surface identically at every owner.
-                MultiplyLocated::local(
-                    chorus_wire::from_bytes(&payload).unwrap_or_else(|e| {
-                        panic!("failed to decode multicast payload locally: {e}")
-                    }),
-                )
-            } else {
-                MultiplyLocated::remote()
-            }
-        } else if destinations.contains(&Target::NAME) {
-            MultiplyLocated::local(self.receive_from(Sender::NAME))
-        } else {
-            MultiplyLocated::remote()
-        }
+        self.try_multicast(src, destination, data).unwrap_or_else(|e| panic!("multicast: {e}"))
     }
 
     fn try_multicast<Sender: ChoreographyLocation, V: Portable, D: LocationSet, Index1, Index2>(
@@ -422,31 +470,21 @@ where
         let destinations = D::names();
         if Sender::NAME == Target::NAME {
             let value =
-                data.as_inner_option().expect("try_multicast: sender must hold the value it sends");
-            // Destinations are sent to one by one (not through the
-            // encode-once `multicast_value` fast path) so a failing
-            // link attributes the failure to the exact peer involved —
-            // the robust path trades a little copying for attribution.
-            for dest in destinations.iter().copied().filter(|dest| *dest != Sender::NAME) {
-                self.session.send_value(dest, value).map_err(|e| CommFailure {
-                    peer: dest.to_string(),
-                    kind: match &e {
-                        TransportError::Codec(_) => CommFailureKind::Decode(e.to_string()),
-                        _ => CommFailureKind::Transport(e.to_string()),
-                    },
-                })?;
-            }
+                data.as_inner_option().expect("multicast: sender must hold the value it sends");
+            // One serialization, however many destinations: every remote
+            // recipient gets a cheap clone of the same payload buffer,
+            // and a failing link is attributed to its own destination.
+            let payload = self
+                .session
+                .fan_out(destinations.iter().copied().filter(|dest| *dest != Sender::NAME), value)
+                .map_err(|(peer, e)| comm_failure(peer, e))?;
             if destinations.contains(&Sender::NAME) {
-                // Same in-memory round trip as `multicast`, with decode
-                // trouble surfaced instead of panicking.
-                let bytes = chorus_wire::to_bytes(value).map_err(|e| CommFailure {
-                    peer: Sender::NAME.to_string(),
-                    kind: CommFailureKind::Decode(e.to_string()),
-                })?;
-                let back = chorus_wire::from_bytes(&bytes).map_err(|e| CommFailure {
-                    peer: Sender::NAME.to_string(),
-                    kind: CommFailureKind::Decode(e.to_string()),
-                })?;
+                // The sender keeps its copy via an in-memory round trip
+                // over the *same* encoded bytes the recipients got, so
+                // that `V` needs no `Clone` bound and serialization bugs
+                // surface identically at every owner.
+                let back = chorus_wire::from_bytes(&payload)
+                    .map_err(|e| comm_failure(Sender::NAME, e.into()))?;
                 Ok(MultiplyLocated::local(back))
             } else {
                 Ok(MultiplyLocated::remote())
@@ -525,8 +563,9 @@ mod tests {
     type System = crate::LocationSet!(Alice, Bob);
 
     /// A transport whose `try_receive_frame` answers are scripted, so
-    /// every branch of `Session::try_receive_payload` is reachable
-    /// without a real peer.
+    /// every branch of the session core's non-blocking receive
+    /// ([`Endpoint::try_receive_payload`], the one a pooled `SessionCx`
+    /// drives) is reachable without a real peer.
     struct ScriptedTransport {
         script: Mutex<VecDeque<Result<Option<Envelope>, TransportError>>>,
     }
@@ -573,15 +612,13 @@ mod tests {
     #[test]
     fn try_receive_payload_misses_on_empty_mailbox() {
         let endpoint = session_over([Ok(None)]);
-        let session = endpoint.session_with_id(7);
-        assert!(session.try_receive_payload("Alice").unwrap().is_none());
+        assert!(endpoint.try_receive_payload(7, "Alice").unwrap().is_none());
     }
 
     #[test]
     fn try_receive_payload_returns_a_ready_payload() {
         let endpoint = session_over([Ok(Some(Envelope::new(7, 0, b"ready-frame".to_vec())))]);
-        let session = endpoint.session_with_id(7);
-        let payload = session.try_receive_payload("Alice").unwrap().expect("frame was ready");
+        let payload = endpoint.try_receive_payload(7, "Alice").unwrap().expect("frame was ready");
         assert_eq!(payload.as_ref(), b"ready-frame");
     }
 
@@ -590,8 +627,7 @@ mod tests {
         let endpoint = session_over([Err(TransportError::Codec(
             chorus_wire::from_bytes::<String>(&[0xFF; 2]).unwrap_err(),
         ))]);
-        let session = endpoint.session_with_id(7);
-        let err = session.try_receive_payload("Alice").unwrap_err();
+        let err = endpoint.try_receive_payload(7, "Alice").unwrap_err();
         assert!(matches!(err, TransportError::Codec(_)), "got: {err}");
     }
 
@@ -600,8 +636,7 @@ mod tests {
         let endpoint = session_over([Err(TransportError::Protocol(
             "link from Alice poisoned at frame 2: subsequent frames withheld".into(),
         ))]);
-        let session = endpoint.session_with_id(7);
-        let err = session.try_receive_payload("Alice").unwrap_err();
+        let err = endpoint.try_receive_payload(7, "Alice").unwrap_err();
         assert!(err.to_string().contains("poisoned"), "got: {err}");
     }
 }

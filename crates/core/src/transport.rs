@@ -21,11 +21,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum TransportError {
-    /// The peer's endpoint hung up or was never reachable.
-    ConnectionClosed {
-        /// The peer whose connection failed.
-        peer: String,
-    },
     /// A message named a location the transport does not know.
     UnknownLocation(String),
     /// An I/O failure in a socket-backed transport.
@@ -37,10 +32,9 @@ pub enum TransportError {
     Protocol(String),
     /// A resilient link exhausted its reconnect budget and gave up.
     ///
-    /// Unlike [`TransportError::ConnectionClosed`] — one connection
-    /// ended — this means the link *supervisor* tried to re-establish
-    /// the connection `attempts` times over `elapsed` and the peer never
-    /// came back. Sessions see this instead of hanging on a dead edge.
+    /// The link *supervisor* tried to re-establish the connection
+    /// `attempts` times over `elapsed` and the peer never came back.
+    /// Sessions see this instead of hanging on a dead edge.
     LinkDown {
         /// The failing edge, as `"sender->receiver"` location names.
         edge: String,
@@ -53,8 +47,9 @@ pub enum TransportError {
     /// watermark and could not drain.
     ///
     /// The sender parked at the watermark waiting for the peer's acks
-    /// to prune the queue, but the link resolved down (or the watchdog
-    /// expired) first. Holding more frames for a peer that is not
+    /// to prune the queue, but the link resolved down (or the
+    /// transport's [stall deadline](SessionTransport::stall_deadline)
+    /// passed) first. Holding more frames for a peer that is not
     /// acknowledging would only hoard memory — this is the bound that
     /// keeps a dead peer from OOMing its senders.
     RetentionExceeded {
@@ -71,9 +66,6 @@ pub enum TransportError {
 impl fmt::Display for TransportError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TransportError::ConnectionClosed { peer } => {
-                write!(f, "connection to {peer} closed")
-            }
             TransportError::UnknownLocation(name) => {
                 write!(f, "unknown location {name}")
             }
@@ -182,7 +174,7 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// (cached per thread, so parking allocates nothing), re-polls at
     /// once if the registration reports the mailbox ready, and
     /// otherwise parks. A wait longer than
-    /// [`receive_deadline`](Self::receive_deadline) fails with a
+    /// [`stall_deadline`](Self::stall_deadline) fails with a
     /// [`TransportError::Protocol`] naming the session, the edge and
     /// the deadline, instead of hanging the thread.
     ///
@@ -198,7 +190,7 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
         if let Some(frame) = self.try_receive_frame(session, from)? {
             return Ok(frame);
         }
-        let deadline = self.receive_deadline();
+        let deadline = self.stall_deadline();
         let started = Instant::now();
         let waker = crate::park::thread_waker();
         loop {
@@ -214,11 +206,17 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
         }
     }
 
-    /// How long [`receive_frame`](Self::receive_frame) waits for one
-    /// frame before reporting a stall: the workspace watchdog
+    /// How long this transport waits before reporting a stall: the
+    /// workspace watchdog
     /// ([`park::default_watchdog`](crate::park::default_watchdog)) unless
     /// the transport carries its own.
-    fn receive_deadline(&self) -> Duration {
+    ///
+    /// It bounds every wait on the transport: a blocking
+    /// [`receive_frame`](Self::receive_frame), a pooled session parked
+    /// on one of its mailboxes (which stalls out with the same error a
+    /// blocking receive raises on that edge), and a resilient TCP
+    /// sender parked at its retention watermark.
+    fn stall_deadline(&self) -> Duration {
         crate::park::default_watchdog()
     }
 
@@ -289,8 +287,8 @@ where
         (**self).receive_frame(session, from)
     }
 
-    fn receive_deadline(&self) -> Duration {
-        (**self).receive_deadline()
+    fn stall_deadline(&self) -> Duration {
+        (**self).stall_deadline()
     }
 
     fn try_receive_frame(
@@ -311,9 +309,15 @@ where
     }
 }
 
-/// The error a blocking receive reports when no frame of `session`
-/// crossed the edge `from -> to` within `deadline`.
-fn stall_error(session: SessionId, from: &str, to: &str, deadline: Duration) -> TransportError {
+/// The error a receive reports when no frame of `session` crossed the
+/// edge `from -> to` within `deadline`, whether a thread or a pooled
+/// session was waiting.
+pub(crate) fn stall_error(
+    session: SessionId,
+    from: &str,
+    to: &str,
+    deadline: Duration,
+) -> TransportError {
     TransportError::Protocol(format!(
         "receive watchdog: no frame of session {session} on edge {from}->{to} within the \
          {}ms deadline (schedule stalled or sender never sent)",
@@ -325,7 +329,7 @@ fn stall_error(session: SessionId, from: &str, to: &str, deadline: Duration) -> 
 /// intern location names without allocating or re-materializing
 /// `L::names()` (a fresh `Vec`) per message.
 ///
-/// Sessions and every transport in the workspace keep one of these;
+/// Endpoints and every transport in the workspace keep one of these;
 /// the `&'static str` it hands back is the key used for sequence
 /// tracking and mailbox routing.
 #[derive(Debug, Clone)]
@@ -486,7 +490,7 @@ mod tests {
             Ok(false)
         }
 
-        fn receive_deadline(&self) -> Duration {
+        fn stall_deadline(&self) -> Duration {
             self.deadline
         }
     }

@@ -109,8 +109,8 @@ where
         self.inner.register_waker(session, from, waker)
     }
 
-    fn receive_deadline(&self) -> Duration {
-        self.inner.receive_deadline()
+    fn stall_deadline(&self) -> Duration {
+        self.inner.stall_deadline()
     }
 }
 

@@ -24,9 +24,10 @@
 //! order, so delivery never waits on a wall clock; receivers block
 //! through the shared
 //! [`receive_frame`](SessionTransport::receive_frame), woken by the
-//! deposit. The plan's watchdog ([`FaultPlan::watchdog`]) is that
-//! receive's deadline, so a genuinely stuck schedule surfaces as an
-//! error instead of hanging CI.
+//! deposit. The plan's watchdog ([`FaultPlan::watchdog`]) is the
+//! transport's stall deadline, for blocking and pooled receives alike,
+//! so a genuinely stuck schedule surfaces as an error instead of
+//! hanging CI.
 //!
 //! Failure modes are injected, never emergent: a sender-side sequence
 //! violation kills the link for every session behind it (mirroring
@@ -216,9 +217,9 @@ pub struct FaultPlan {
     pub corruption: Vec<Corruption>,
     /// Links silenced forever.
     pub silence: Vec<Silence>,
-    /// Real-time bound on any single blocked receive; a stalled
-    /// schedule surfaces as [`TransportError::Protocol`] instead of a
-    /// hang.
+    /// Real-time bound on any single blocked receive, blocking or
+    /// pooled; a stalled schedule surfaces as
+    /// [`TransportError::Protocol`] instead of a hang.
     pub watchdog: Duration,
 }
 
@@ -1006,8 +1007,8 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         }
     }
 
-    /// The plan's receive watchdog bounds every blocking receive.
-    fn receive_deadline(&self) -> Duration {
+    /// The plan's watchdog bounds every receive, blocking or pooled.
+    fn stall_deadline(&self) -> Duration {
         self.net.shared.plan.watchdog
     }
 

@@ -630,8 +630,8 @@ fn link_down_error(me: &str, to: &str, elapsed: Duration, attempts: u32) -> Tran
 /// # Errors
 ///
 /// Surfaces [`TransportError::RetentionExceeded`] if the link resolves
-/// down, or the workspace watchdog expires, while the queue is still
-/// over the watermark.
+/// down, or `stall` (the transport's stall deadline) passes, while the
+/// queue is still over the watermark.
 fn wait_for_retention_room<'a>(
     me: &str,
     to: &'static str,
@@ -639,8 +639,9 @@ fn wait_for_retention_room<'a>(
     mut link: MutexGuard<'a, SendLink>,
     wire_len: usize,
     limit: usize,
+    stall: Duration,
 ) -> Result<MutexGuard<'a, SendLink>, TransportError> {
-    let deadline = Instant::now() + park::default_watchdog();
+    let deadline = Instant::now() + stall;
     loop {
         // An empty queue admits the frame regardless: a single frame
         // larger than the watermark must still be sendable, or it could
@@ -1438,8 +1439,16 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let wire_len = data_frame_wire_len(&frame);
         let limit = self.send.tuning.retain_max;
         if limit > 0 && !link.unacked.is_empty() && link.retained_bytes + wire_len > limit {
-            link =
-                wait_for_retention_room(self.send.me, to_static, &handle, link, wire_len, limit)?;
+            let stall = self.stall_deadline();
+            link = wait_for_retention_room(
+                self.send.me,
+                to_static,
+                &handle,
+                link,
+                wire_len,
+                limit,
+                stall,
+            )?;
         }
         // Retain first (the sequence is assigned *after* any
         // watermark park, so queue order always matches sequence

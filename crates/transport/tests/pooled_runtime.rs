@@ -6,7 +6,8 @@
 
 use chorus_core::park::WaitQueue;
 use chorus_core::{
-    ChoreographyLocation, Endpoint, RoleProgram, SessionCx, SessionRuntime, Step, TransportError,
+    ChoreographyLocation, Endpoint, RoleProgram, SessionCx, SessionRuntime, SessionTransport, Step,
+    TransportError,
 };
 use chorus_protocols::kvs_simple::{PooledKvsClient, PooledKvsServer, SimpleKvs, SimpleKvsCensus};
 use chorus_protocols::roles::{Client, Primary};
@@ -67,13 +68,19 @@ fn ten_thousand_sessions_on_a_fixed_pool() {
     assert_eq!(store.get("k9999"), Response::Found("v9999".into()));
 }
 
-/// A session whose peer never answers resolves with the watchdog's
-/// protocol error (naming the awaited edge) instead of hanging — and
-/// leaves the pool healthy for later sessions.
+/// A session whose peer never answers resolves with its transport's
+/// stall error (naming the awaited edge) after that transport's stall
+/// deadline instead of hanging — the very error a blocking receive
+/// raises on the same edge — and leaves the pool healthy for later
+/// sessions.
 #[test]
 fn watchdog_surfaces_a_stalled_session() {
-    let runtime = SessionRuntime::with_watchdog(2, Duration::from_millis(200));
-    let (client, server) = local_pair();
+    let runtime = SessionRuntime::new(2);
+    let net = SimNet::<SimpleKvsCensus>::new(
+        FaultPlan::ideal().with_watchdog(Duration::from_millis(200)),
+    );
+    let client = Arc::new(Endpoint::new(SimTransport::new(Client, net.clone())));
+    let server = Arc::new(Endpoint::new(SimTransport::new(Primary, net)));
     // No server role is spawned: the client's receive can never be
     // satisfied.
     let stalled = runtime.spawn(&client, 1, PooledKvsClient::new(Request::Get("k".into())));
@@ -82,6 +89,8 @@ fn watchdog_surfaces_a_stalled_session() {
     let message = err.to_string();
     assert!(message.contains("watchdog"), "got: {message}");
     assert!(message.contains("Primary"), "the stalled edge should be named, got: {message}");
+    let blocking = client.transport().receive_frame(1, "Primary").unwrap_err();
+    assert_eq!(message, blocking.to_string(), "pooled and blocking stalls must read the same");
 
     // The pool survived: a well-formed session still completes.
     let store = SharedStore::new();

@@ -1,5 +1,5 @@
-//! Pins the encode-once fan-out property: a multicast (and a broadcast)
-//! serializes its value **exactly once**, no matter how many
+//! Pins the encode-once fan-out property: a multicast (blocking or
+//! fallible) and a broadcast serialize their value **exactly once**, no matter how many
 //! destinations receive it — every recipient, including the sender's
 //! own keep-copy, observes the same encoded bytes.
 //!
@@ -37,6 +37,7 @@ macro_rules! counted_probe {
 }
 
 counted_probe!(MulticastProbe, MULTICAST_SERIALIZATIONS);
+counted_probe!(TryMulticastProbe, TRY_MULTICAST_SERIALIZATIONS);
 counted_probe!(BroadcastProbe, BROADCAST_SERIALIZATIONS);
 counted_probe!(TcpBatchProbe, TCP_BATCH_SERIALIZATIONS);
 
@@ -54,6 +55,22 @@ impl Choreography<u64> for FanOut {
     fn run(self, op: &impl ChoreoOp<Self::L>) -> u64 {
         let at_a: Located<MulticastProbe, A> = op.locally(A, |_| MulticastProbe(41));
         let shared: MultiplyLocated<MulticastProbe, Census> = op.multicast(A, Census::new(), &at_a);
+        op.naked(shared).0
+    }
+}
+
+/// The fallible fan-out: A `try_multicast`s to the whole census (itself
+/// included) and everyone returns the value they observed.
+#[derive(Clone)]
+struct TryFanOut;
+
+impl Choreography<u64> for TryFanOut {
+    type L = Census;
+
+    fn run(self, op: &impl ChoreoOp<Self::L>) -> u64 {
+        let at_a: Located<TryMulticastProbe, A> = op.locally(A, |_| TryMulticastProbe(29));
+        let shared: MultiplyLocated<TryMulticastProbe, Census> =
+            op.try_multicast(A, Census::new(), &at_a).expect("an honest local census");
         op.naked(shared).0
     }
 }
@@ -104,6 +121,19 @@ fn multicast_serializes_exactly_once_regardless_of_census_size() {
         MULTICAST_SERIALIZATIONS.load(Ordering::SeqCst),
         1,
         "multicast must serialize once, not once per destination"
+    );
+}
+
+#[test]
+fn try_multicast_serializes_exactly_once() {
+    let results = run_everywhere(TryFanOut);
+    assert_eq!(results, vec![29, 29, 29, 29]);
+    // The robust path keeps per-destination failure attribution without
+    // re-encoding per destination or for the keep-copy.
+    assert_eq!(
+        TRY_MULTICAST_SERIALIZATIONS.load(Ordering::SeqCst),
+        1,
+        "try_multicast must serialize once, not once per destination"
     );
 }
 
