@@ -87,6 +87,4 @@ pub use quire::Quire;
 pub use runner::Runner;
 pub use runtime::{RoleProgram, SessionCx, SessionHandle, SessionRuntime, Step};
 pub use session::Session;
-pub use transport::{
-    InternedNames, MailboxWaker, SequenceTracker, SessionId, SessionTransport, TransportError,
-};
+pub use transport::{InternedNames, MailboxWaker, SessionId, SessionTransport, TransportError};

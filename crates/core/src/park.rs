@@ -48,7 +48,8 @@ pub(crate) fn thread_waker() -> MailboxWaker {
 /// parked on a mailbox and a TCP sender parked at its retention
 /// watermark. Override it with the `CHORUS_WATCHDOG_MS`
 /// environment variable (milliseconds, read once per process); the
-/// built-in default is 30 000 ms.
+/// built-in default is 30 000 ms, and a zero or unparsable value means
+/// the default, as for the `CHORUS_TCP_*` knobs.
 ///
 /// A CI job that wants hangs to surface fast sets `CHORUS_WATCHDOG_MS`
 /// low; a debugging session that wants to poke around under a debugger
@@ -56,14 +57,16 @@ pub(crate) fn thread_waker() -> MailboxWaker {
 /// pinning watchdog behavior) runs over a transport that carries its
 /// own, such as a simulated one with `FaultPlan::with_watchdog`.
 pub fn default_watchdog() -> Duration {
-    static MILLIS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    let millis = *MILLIS.get_or_init(|| {
-        std::env::var("CHORUS_WATCHDOG_MS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .unwrap_or(30_000)
-    });
-    Duration::from_millis(millis)
+    static WATCHDOG: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
+    *WATCHDOG.get_or_init(|| watchdog_from(std::env::var("CHORUS_WATCHDOG_MS").ok().as_deref()))
+}
+
+/// The watchdog a `CHORUS_WATCHDOG_MS` value asks for. Zero counts as
+/// unset: a zero deadline would fail every receive that finds its
+/// mailbox empty, and every parked pooled session at the first sweep.
+fn watchdog_from(raw: Option<&str>) -> Duration {
+    let millis = raw.and_then(|raw| raw.trim().parse::<u64>().ok()).filter(|ms| *ms > 0);
+    Duration::from_millis(millis.unwrap_or(30_000))
 }
 
 /// A mutex fused with the condvar that announces changes to its state.
@@ -198,6 +201,16 @@ mod tests {
         let first = default_watchdog();
         assert!(first > Duration::ZERO);
         assert_eq!(first, default_watchdog());
+    }
+
+    #[test]
+    fn watchdog_zero_or_garbage_means_the_default() {
+        let default = Duration::from_secs(30);
+        assert_eq!(watchdog_from(None), default);
+        assert_eq!(watchdog_from(Some("0")), default);
+        assert_eq!(watchdog_from(Some("soon")), default);
+        assert_eq!(watchdog_from(Some("-5")), default);
+        assert_eq!(watchdog_from(Some(" 250 ")), Duration::from_millis(250));
     }
 
     #[test]

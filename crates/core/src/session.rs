@@ -164,7 +164,7 @@ where
     /// Held across each transport send: a session is one sequential run,
     /// but `Session` is `Sync`, and a session shared across threads must
     /// still put frames on the wire in sequence order or the receiver's
-    /// tracker poisons the link for every session behind that sender.
+    /// sequence check fails the link for every session behind that sender.
     send: Mutex<SendState>,
 }
 

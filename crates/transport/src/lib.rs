@@ -36,6 +36,7 @@ mod byzantine;
 mod faulty;
 mod link;
 mod local;
+mod mailbox;
 mod metrics;
 mod sim;
 mod tcp;

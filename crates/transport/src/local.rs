@@ -1,42 +1,22 @@
 //! In-process transport: participants are threads, links are in-memory
 //! queues, and every link demultiplexes concurrent sessions.
 //!
-//! Frames stay *structured* end to end: a sent [`Envelope`] is
-//! sequence-checked and deposited directly into its per-session
-//! mailbox — no encode-to-bytes / decode-from-bytes round trip ever
+//! A link is nothing but the shared receive mailboxes behind one mutex
+//! (`crate::mailbox`): the sender sequence-checks and deposits under
+//! it, the receiver pops and parks under it. Frames stay *structured*
+//! end to end — no encode-to-bytes / decode-from-bytes round trip ever
 //! happens in-process, and the payload the receiver observes is the
 //! very buffer the sender serialized (shared, not copied).
 
+use crate::mailbox::{Mailboxes, Wakers};
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SequenceTracker, SessionId,
-    SessionTransport, TransportError,
+    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
+    TransportError,
 };
 use chorus_wire::Envelope;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
-
-/// One directed link's state: per-session FIFO mailboxes of structured
-/// frames.
-type LinkState = Mutex<LinkInner>;
-
-#[derive(Default)]
-struct LinkInner {
-    /// Per-session FIFO mailboxes. Senders deposit directly (after
-    /// sequence validation); receivers only ever pop.
-    mailboxes: HashMap<SessionId, VecDeque<Envelope>>,
-    /// Per-session sequence validation.
-    sequences: SequenceTracker,
-    /// A protocol violation that poisoned the whole link. Every current
-    /// and future receiver sees it, not just the session whose frame
-    /// was bad.
-    dead: Option<String>,
-    /// Readiness wakers parked on empty mailboxes (by blocking receivers
-    /// and by the pooled session runtime): at most one per session,
-    /// removed (and fired, outside the lock) when a frame for that
-    /// session is deposited, drained wholesale when the link dies.
-    wakers: HashMap<SessionId, MailboxWaker>,
-}
 
 /// The shared fabric connecting every pair of locations in `L`.
 ///
@@ -58,7 +38,8 @@ struct LinkInner {
 /// # let _ = (for_alice, for_bob);
 /// ```
 pub struct LocalTransportChannel<L: LocationSet> {
-    links: Arc<HashMap<(&'static str, &'static str), LinkState>>,
+    /// One mailbox set per directed link `(from, to)`.
+    links: Arc<HashMap<(&'static str, &'static str), Mutex<Mailboxes>>>,
     system: PhantomData<L>,
 }
 
@@ -74,10 +55,10 @@ impl<L: LocationSet> LocalTransportChannel<L> {
     pub fn new() -> Self {
         let names = L::names();
         let mut links = HashMap::new();
-        for from in &names {
-            for to in &names {
+        for &from in &names {
+            for &to in &names {
                 if from != to {
-                    links.insert((*from, *to), LinkState::default());
+                    links.insert((from, to), Mutex::new(Mailboxes::new(from)));
                 }
             }
         }
@@ -107,7 +88,11 @@ impl<L: LocationSet, Target: ChoreographyLocation> LocalTransport<L, Target> {
         LocalTransport { channel, names: InternedNames::of::<L>(), target: PhantomData }
     }
 
-    fn link(&self, from: &'static str, to: &'static str) -> Result<&LinkState, TransportError> {
+    fn link(
+        &self,
+        from: &'static str,
+        to: &'static str,
+    ) -> Result<&Mutex<Mailboxes>, TransportError> {
         self.channel.links.get(&(from, to)).ok_or_else(|| {
             TransportError::UnknownLocation(if from == Target::NAME {
                 to.to_string()
@@ -124,43 +109,15 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     fn send_frame(&self, to: &str, frame: Envelope) -> Result<(), TransportError> {
         let to = self.names.resolve(to)?;
         let link = self.link(Target::NAME, to)?;
-        let mut inner = link.lock().expect("local link poisoned");
         // Sequence-check and demultiplex at the sender, under the link
         // lock: frames land in their session mailbox fully structured,
-        // sharing the sender's payload buffer. A violation poisons the
-        // link for every receiver, and frames sent after the poison are
-        // withheld — every session on the link sees the error, exactly
-        // as when demultiplexing stopped at the first bad frame. (The
-        // send itself still reports `Ok`; the error surfaces at the
-        // receivers.)
-        let mut fired = None;
-        let mut all_fired = Vec::new();
-        if inner.dead.is_none() {
-            match inner.sequences.check(frame.session, Target::NAME, frame.seq) {
-                Ok(()) => {
-                    let session = frame.session;
-                    inner.mailboxes.entry(session).or_default().push_back(frame);
-                    // `remove` hands the parked waker out without
-                    // allocating; it is invoked outside the lock (a waker
-                    // re-enqueues into a scheduler queue, and calling it
-                    // under the mailbox lock invites ordering deadlocks).
-                    fired = inner.wakers.remove(&session);
-                }
-                Err(e) => {
-                    inner.dead = Some(e.to_string());
-                    // The whole link is now an error state every session
-                    // observes: every parked session is ready.
-                    all_fired.extend(inner.wakers.drain().map(|(_, waker)| waker));
-                }
-            }
-        }
-        drop(inner);
-        if let Some(waker) = fired {
-            waker();
-        }
-        for waker in all_fired {
-            waker();
-        }
+        // sharing the sender's payload buffer. A violation fails the
+        // link for every receiver and withholds later frames; the send
+        // itself still reports `Ok`, the error surfaces at the
+        // receivers.
+        let mut wake = Wakers::default();
+        link.lock().expect("local link poisoned").deposit(frame, &mut wake);
+        wake.fire();
         Ok(())
     }
 
@@ -171,14 +128,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     ) -> Result<Option<Envelope>, TransportError> {
         let from = self.names.resolve(from)?;
         let link = self.link(from, Target::NAME)?;
-        let mut inner = link.lock().expect("local link poisoned");
-        if let Some(envelope) = inner.mailboxes.get_mut(&session).and_then(VecDeque::pop_front) {
-            return Ok(Some(envelope));
-        }
-        if let Some(reason) = &inner.dead {
-            return Err(TransportError::Protocol(format!("link from {from} is down: {reason}")));
-        }
-        Ok(None)
+        link.lock().expect("local link poisoned").try_take(session)
     }
 
     fn register_waker(
@@ -189,16 +139,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     ) -> Result<bool, TransportError> {
         let from = self.names.resolve(from)?;
         let link = self.link(from, Target::NAME)?;
-        let mut inner = link.lock().expect("local link poisoned");
-        // Ready-check and registration under the one link lock senders
-        // deposit under: a frame can never slip between them.
-        let ready = inner.dead.is_some()
-            || inner.mailboxes.get(&session).is_some_and(|mailbox| !mailbox.is_empty());
-        if ready {
-            return Ok(true);
-        }
-        inner.wakers.insert(session, waker);
-        Ok(false)
+        Ok(link.lock().expect("local link poisoned").register(session, waker))
     }
 }
 

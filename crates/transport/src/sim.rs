@@ -52,16 +52,18 @@
 //! release order — as text; CI jobs attach it as an artifact so a
 //! failing seed replays locally with nothing but the seed.
 
+use crate::mailbox::{Mailboxes, Wakers};
 use chorus_core::park;
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SequenceTracker, SessionId,
-    SessionTransport, TransportError,
+    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
+    TransportError,
 };
 use chorus_wire::Envelope;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -505,17 +507,15 @@ impl Ord for Flight {
 }
 
 /// Per-session reorder state: re-establishes the FIFO stream out of the
-/// arrival order.
+/// arrival order, releasing frames into the link's mailboxes.
 #[derive(Default)]
 struct SessionStream {
     next_seq: u64,
     /// Out-of-order arrivals by seq: `(frame index, arrival tick, frame)`.
     pending: BTreeMap<u64, (u64, u64, Envelope)>,
-    ready: VecDeque<Envelope>,
 }
 
 /// One directed link's whole state.
-#[derive(Default)]
 struct SimLink {
     /// Frames offered so far; the next frame's index and send tick.
     sent: u64,
@@ -529,76 +529,90 @@ struct SimLink {
     seen: HashSet<u64>,
     /// Per-session reorder stages.
     streams: HashMap<SessionId, SessionStream>,
-    /// Sender-side stream validation; a violation kills the link.
-    sequences: SequenceTracker,
-    /// Set when a sequence violation killed the link.
-    dead: Option<String>,
-    /// Set when the poison plan fired, to the poison step.
-    poisoned: Option<u64>,
-    /// Readiness wakers parked by the pooled session runtime. Whether a
-    /// given session is ready is only knowable after *draining* the
-    /// in-flight set (which only a receiver may do — draining advances
-    /// virtual time in the deterministic `(arrival, uid)` order), so
-    /// every waker fires on any send or link-state change and the woken
-    /// session re-polls; spurious wakes are harmless by contract.
-    wakers: HashMap<SessionId, MailboxWaker>,
+    /// The receive side. Frames are sequence-checked at send time
+    /// (a violation, or the poison plan firing, fails the link) and
+    /// queued when the reorder stage releases them. A silenced link is
+    /// failed from construction: the silence is a plan-level fact, so
+    /// receivers learn of it eagerly instead of waiting out a watchdog.
+    mailboxes: Mailboxes,
     /// Send-side schedule log, in frame order.
     sends: Vec<SimEvent>,
-    /// Delivery log, in raw drain order. Drains race sends in real
-    /// time, so this order is timing-dependent; [`SimNet::events`] and
-    /// [`SimNet::schedule_dump`] re-sort it into the deterministic
-    /// virtual-time order `(arrival, frame)` before exposing it.
+    /// Delivery log, in drain order; [`SimNet::events`] re-sorts it
+    /// into the virtual-time order `(arrival, frame)` before exposing
+    /// it.
     deliveries: Vec<SimEvent>,
 }
 
 impl SimLink {
-    /// Drains the earliest in-flight arrival into its reorder stage,
-    /// advancing link-virtual time and logging the outcome.
-    fn advance(&mut self, from: &'static str, to: &'static str) {
-        let Some(Reverse(flight)) = self.in_flight.pop() else { return };
-        self.now = self.now.max(flight.arrival);
-        let session = flight.env.session;
-        let seq = flight.env.seq;
-        if !self.seen.insert(flight.frame) {
-            self.deliveries.push(SimEvent {
-                from,
-                to,
-                frame: flight.frame,
-                session,
-                seq,
-                arrival: flight.arrival,
-                kind: SimEventKind::DuplicateDropped,
-            });
-            return;
+    fn new(mailboxes: Mailboxes) -> Self {
+        SimLink {
+            sent: 0,
+            next_uid: 0,
+            in_flight: std::collections::BinaryHeap::new(),
+            now: 0,
+            seen: HashSet::new(),
+            streams: HashMap::new(),
+            mailboxes,
+            sends: Vec::new(),
+            deliveries: Vec::new(),
         }
-        let stream = self.streams.entry(session).or_default();
-        stream.pending.insert(seq, (flight.frame, flight.arrival, flight.env));
-        loop {
-            if let Some((frame, arrival, env)) = stream.pending.remove(&stream.next_seq) {
+    }
+
+    /// Drains the whole in-flight set through the reorder stages in
+    /// the deterministic `(arrival, uid)` order, advancing link-virtual
+    /// time and logging each outcome. Returns the wakers of exactly the
+    /// mailboxes that gained a frame, to fire once the link lock is
+    /// released.
+    fn drain(&mut self, from: &'static str, to: &'static str) -> Wakers {
+        let mut wake = Wakers::default();
+        while let Some(Reverse(flight)) = self.in_flight.pop() {
+            self.now = self.now.max(flight.arrival);
+            let session = flight.env.session;
+            let seq = flight.env.seq;
+            if !self.seen.insert(flight.frame) {
                 self.deliveries.push(SimEvent {
                     from,
                     to,
-                    frame,
+                    frame: flight.frame,
                     session,
-                    seq: env.seq,
-                    arrival,
-                    kind: SimEventKind::Delivered,
+                    seq,
+                    arrival: flight.arrival,
+                    kind: SimEventKind::DuplicateDropped,
                 });
-                stream.ready.push_back(env);
-                stream.next_seq += 1;
                 continue;
             }
-            // A buffered seq 0 while expecting a later one marks a fresh
-            // run reusing the session id (sequence restart, the same
-            // convention `SequenceTracker` accepts). Sequential runs
-            // never overlap, so this can only be a restart.
-            if stream.next_seq > 0 && stream.pending.first_key_value().is_some_and(|(s, _)| *s == 0)
-            {
-                stream.next_seq = 0;
-                continue;
+            let stream = self.streams.entry(session).or_default();
+            stream.pending.insert(seq, (flight.frame, flight.arrival, flight.env));
+            loop {
+                if let Some((frame, arrival, env)) = stream.pending.remove(&stream.next_seq) {
+                    self.deliveries.push(SimEvent {
+                        from,
+                        to,
+                        frame,
+                        session,
+                        seq: env.seq,
+                        arrival,
+                        kind: SimEventKind::Delivered,
+                    });
+                    self.mailboxes.push(env, &mut wake);
+                    stream.next_seq += 1;
+                    continue;
+                }
+                // A buffered seq 0 while expecting a later one marks a
+                // fresh run reusing the session id (sequence restart,
+                // the convention the mailbox sequence check accepts).
+                // Sequential runs never overlap, so this can only be a
+                // restart.
+                if stream.next_seq > 0
+                    && stream.pending.first_key_value().is_some_and(|(s, _)| *s == 0)
+                {
+                    stream.next_seq = 0;
+                    continue;
+                }
+                break;
             }
-            break;
         }
+        wake
     }
 }
 
@@ -606,7 +620,7 @@ struct SimShared {
     plan: FaultPlan,
     links: HashMap<(&'static str, &'static str), Mutex<SimLink>>,
     /// Frames handed to receivers, across all links.
-    received: Mutex<u64>,
+    received: AtomicU64,
 }
 
 /// The shared simulated network connecting every ordered pair of
@@ -629,15 +643,21 @@ impl<L: LocationSet> SimNet<L> {
     pub fn new(plan: FaultPlan) -> Self {
         let names = L::names();
         let mut links = HashMap::new();
-        for from in &names {
-            for to in &names {
+        for &from in &names {
+            for &to in &names {
                 if from != to {
-                    links.insert((*from, *to), Mutex::default());
+                    let mut mailboxes = Mailboxes::new(from);
+                    if plan.silenced(from, to) {
+                        let reason =
+                            format!("silenced: every frame to {to} dropped (selective silence)");
+                        mailboxes.fail(reason, &mut Wakers::default());
+                    }
+                    links.insert((from, to), Mutex::new(SimLink::new(mailboxes)));
                 }
             }
         }
         SimNet {
-            shared: Arc::new(SimShared { plan, links, received: Mutex::new(0) }),
+            shared: Arc::new(SimShared { plan, links, received: AtomicU64::new(0) }),
             system: PhantomData,
         }
     }
@@ -658,30 +678,21 @@ impl<L: LocationSet> SimNet<L> {
 
     /// Frames handed to receivers so far, across all links.
     pub fn messages_received(&self) -> u64 {
-        *self.shared.received.lock().expect("sim counters poisoned")
+        self.shared.received.load(Ordering::Relaxed)
     }
 
     /// The full schedule log, link by link in name order: each link's
     /// sends in frame order, then its deliveries in **virtual-time
-    /// order** `(arrival, frame)`. Deliveries are recorded as receivers
-    /// drain the in-flight set, and drains race sends in real time — so
-    /// the raw recording order is timing-dependent, but the sorted
-    /// view depends only on the (deterministic) per-frame schedule.
-    /// Every entry is therefore bit-for-bit reproducible for a fixed
-    /// seed and per-link send order.
-    ///
-    /// Reading the log **finalizes** each link: arrivals still in
-    /// flight (scheduled but not yet demanded by any receiver — e.g. a
-    /// trailing duplicate) are drained first, so the log covers every
-    /// scheduled flight exactly once no matter where receivers happened
-    /// to stop. Call it after the run completes.
+    /// order** `(arrival, frame)`, which depends only on the
+    /// (deterministic) per-frame schedule. Every entry is therefore
+    /// bit-for-bit reproducible for a fixed seed and per-link send
+    /// order. Each send drains its link's in-flight set before it
+    /// returns, so the log covers every scheduled flight exactly once;
+    /// call it after the run completes.
     pub fn events(&self) -> Vec<SimEvent> {
         let mut out = Vec::new();
-        for (key, cell) in self.sorted_links() {
-            let mut link = cell.lock().expect("sim link poisoned");
-            while !link.in_flight.is_empty() {
-                link.advance(key.0, key.1);
-            }
+        for (_, cell) in self.sorted_links() {
+            let link = cell.lock().expect("sim link poisoned");
             out.extend(link.sends.iter().cloned());
             let mut deliveries = link.deliveries.clone();
             // A frame's Delivered always precedes its DuplicateDropped
@@ -701,40 +712,28 @@ impl<L: LocationSet> SimNet<L> {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "# sim schedule (seed {})", self.shared.plan.seed);
-        for (key, cell) in self.sorted_links() {
-            let mut link = cell.lock().expect("sim link poisoned");
-            // Finalize, exactly as `events` does.
-            while !link.in_flight.is_empty() {
-                link.advance(key.0, key.1);
+        let mut link = None;
+        for e in self.events() {
+            if link != Some((e.from, e.to)) {
+                link = Some((e.from, e.to));
+                let _ = writeln!(out, "== {} -> {}", e.from, e.to);
             }
-            if link.sends.is_empty() && link.deliveries.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "== {} -> {}", key.0, key.1);
-            // Same ordering rule as `events`: sends in frame order,
-            // deliveries in deterministic virtual-time order.
-            let mut deliveries = link.deliveries.clone();
-            deliveries.sort_by_key(|e| (e.arrival, e.frame));
-            for e in link.sends.iter().chain(deliveries.iter()) {
-                let kind = match e.kind {
-                    SimEventKind::Sent { drops, held, duplicated } => format!(
-                        "sent     arrival={} drops={drops} held={held} dup={duplicated}",
-                        e.arrival
-                    ),
-                    SimEventKind::Withheld => "withheld".to_string(),
-                    SimEventKind::Delivered => format!("deliver  arrival={}", e.arrival),
-                    SimEventKind::DuplicateDropped => format!("dupdrop  arrival={}", e.arrival),
-                    SimEventKind::Corrupted { byte, bit } => {
-                        format!("corrupt  byte={byte} bit={bit}")
-                    }
-                    SimEventKind::Silenced => "silenced".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "frame={:<5} session={:<4} seq={:<5} {kind}",
-                    e.frame, e.session, e.seq
-                );
-            }
+            let kind = match e.kind {
+                SimEventKind::Sent { drops, held, duplicated } => format!(
+                    "sent     arrival={} drops={drops} held={held} dup={duplicated}",
+                    e.arrival
+                ),
+                SimEventKind::Withheld => "withheld".to_string(),
+                SimEventKind::Delivered => format!("deliver  arrival={}", e.arrival),
+                SimEventKind::DuplicateDropped => format!("dupdrop  arrival={}", e.arrival),
+                SimEventKind::Corrupted { byte, bit } => format!("corrupt  byte={byte} bit={bit}"),
+                SimEventKind::Silenced => "silenced".to_string(),
+            };
+            let _ = writeln!(
+                out,
+                "frame={:<5} session={:<4} seq={:<5} {kind}",
+                e.frame, e.session, e.seq
+            );
         }
         out
     }
@@ -823,67 +822,36 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let mut link = cell.lock().expect("sim link poisoned");
         let k = link.sent;
         link.sent += 1;
-
-        let withheld = |link: &mut SimLink| {
-            link.sends.push(SimEvent {
-                from,
-                to,
-                frame: k,
-                session: frame.session,
-                seq: frame.seq,
-                arrival: 0,
-                kind: SimEventKind::Withheld,
-            });
+        let (session, seq) = (frame.session, frame.seq);
+        let log = |link: &mut SimLink, arrival, kind| {
+            link.sends.push(SimEvent { from, to, frame: k, session, seq, arrival, kind });
         };
 
-        // A link that already died (sequence violation) or got poisoned
-        // withholds everything; as with `LocalTransport`, the send
-        // itself reports `Ok` and the error surfaces at the receivers.
-        if link.dead.is_some() || link.poisoned.is_some() {
-            withheld(&mut link);
-            return Ok(());
-        }
-        if let Err(e) = link.sequences.check(frame.session, from, frame.seq) {
-            link.dead = Some(e.to_string());
-            withheld(&mut link);
-            let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
-            drop(link);
-            for waker in fired {
-                waker();
-            }
-            return Ok(());
-        }
-        if let Some(poison) = &plan.poison {
-            if poison.matches(from, to) && k >= poison.after {
-                link.poisoned = Some(poison.after);
-                withheld(&mut link);
-                let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
-                drop(link);
-                for waker in fired {
-                    waker();
-                }
-                return Ok(());
-            }
-        }
         // Selective silence: the frame is logged and dropped forever.
-        // Receivers learn of the silence eagerly (the plan is global
-        // knowledge), so wakers still fire and parked sessions resolve
-        // with a protocol error instead of a watchdog timeout.
+        // The link has been failed since construction, so receivers
+        // already see the silence and nobody is parked on it.
         if plan.silenced(from, to) {
-            link.sends.push(SimEvent {
-                from,
-                to,
-                frame: k,
-                session: frame.session,
-                seq: frame.seq,
-                arrival: 0,
-                kind: SimEventKind::Silenced,
-            });
-            let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
-            drop(link);
-            for waker in fired {
-                waker();
+            log(&mut link, 0, SimEventKind::Silenced);
+            return Ok(());
+        }
+        // A sequence violation, or the poison plan firing, fails the
+        // link; a failed link withholds everything. As with
+        // `LocalTransport`, the send itself reports `Ok` and the error
+        // surfaces at the receivers.
+        let mut wake = Wakers::default();
+        if link.mailboxes.check(session, seq, &mut wake) {
+            if let Some(poison) = &plan.poison {
+                if poison.matches(from, to) && k >= poison.after {
+                    let reason =
+                        format!("poisoned at frame {}: subsequent frames withheld", poison.after);
+                    link.mailboxes.fail(reason, &mut wake);
+                }
             }
+        }
+        if link.mailboxes.is_failed() {
+            log(&mut link, 0, SimEventKind::Withheld);
+            drop(link);
+            wake.fire();
             return Ok(());
         }
         // Adversarial corruption: flip one payload bit, in a fresh
@@ -893,31 +861,16 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             let mut tampered = frame.payload.to_vec();
             tampered[byte] ^= 1 << bit;
             frame.payload = chorus_wire::Bytes::from(tampered);
-            link.sends.push(SimEvent {
-                from,
-                to,
-                frame: k,
-                session: frame.session,
-                seq: frame.seq,
-                arrival: 0,
-                kind: SimEventKind::Corrupted { byte: byte as u64, bit },
-            });
+            log(&mut link, 0, SimEventKind::Corrupted { byte: byte as u64, bit });
         }
 
         let schedule = plan.schedule(from, to, k);
-        link.sends.push(SimEvent {
-            from,
-            to,
-            frame: k,
-            session: frame.session,
-            seq: frame.seq,
-            arrival: schedule.arrival,
-            kind: SimEventKind::Sent {
-                drops: schedule.drops,
-                held: schedule.held,
-                duplicated: schedule.duplicate.is_some(),
-            },
-        });
+        let sent = SimEventKind::Sent {
+            drops: schedule.drops,
+            held: schedule.held,
+            duplicated: schedule.duplicate.is_some(),
+        };
+        log(&mut link, schedule.arrival, sent);
         if let Some(dup_arrival) = schedule.duplicate {
             let uid = link.next_uid;
             link.next_uid += 1;
@@ -939,29 +892,13 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // Drain the whole in-flight set eagerly — the same
         // deterministic `(arrival, uid)` total order any receiver
         // would drain in, so the delivery schedule is unchanged (and
-        // the dumps re-sort by `(arrival, frame)` regardless) — then
+        // the dumps re-sort by `(arrival, frame)` regardless) — and
         // wake only the sessions whose mailboxes actually gained a
-        // frame. A deposit for session A no longer costs every other
-        // parked session a spurious wake (and a scheduler requeue) per
-        // frame; sessions whose frames are still held in the reorder
+        // frame: sessions whose frames are still held in the reorder
         // stage stay parked until the stream really resumes.
-        while !link.in_flight.is_empty() {
-            link.advance(from, to);
-        }
-        let woken: Vec<SessionId> = link
-            .wakers
-            .keys()
-            .copied()
-            .filter(|session| link.streams.get(session).is_some_and(|s| !s.ready.is_empty()))
-            .collect();
-        let mut fired: Vec<MailboxWaker> = Vec::with_capacity(woken.len());
-        for session in woken {
-            fired.extend(link.wakers.remove(&session));
-        }
+        let wake = link.drain(from, to);
         drop(link);
-        for waker in fired {
-            waker();
-        }
+        wake.fire();
         Ok(())
     }
 
@@ -974,37 +911,18 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let to = Target::NAME;
         let cell = self.link(from, to)?;
         let mut link = cell.lock().expect("sim link poisoned");
-        loop {
-            if let Some(env) = link.streams.get_mut(&session).and_then(|s| s.ready.pop_front()) {
-                drop(link);
-                *self.net.shared.received.lock().expect("sim counters poisoned") += 1;
-                return Ok(Some(env));
-            }
-            if !link.in_flight.is_empty() {
-                // Draining advances virtual time in the deterministic
-                // (arrival, uid) total order — the same order a sender's
-                // eager drain uses, so which thread drains never changes
-                // the schedule.
-                link.advance(from, to);
-                continue;
-            }
-            if let Some(reason) = &link.dead {
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} is down: {reason}"
-                )));
-            }
-            if let Some(step) = link.poisoned {
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} poisoned at frame {step}: subsequent frames withheld"
-                )));
-            }
-            if self.net.shared.plan.silenced(from, to) {
-                return Err(TransportError::Protocol(format!(
-                    "link {from} -> {to} silenced: every frame dropped (selective silence)"
-                )));
-            }
-            return Ok(None);
+        // Draining advances virtual time in the deterministic
+        // (arrival, uid) total order — the same order a sender's eager
+        // drain uses, so which thread drains never changes the
+        // schedule.
+        let wake = link.drain(from, to);
+        let taken = link.mailboxes.try_take(session);
+        drop(link);
+        wake.fire();
+        if let Ok(Some(_)) = taken {
+            self.net.shared.received.fetch_add(1, Ordering::Relaxed);
         }
+        taken
     }
 
     /// The plan's watchdog bounds every receive, blocking or pooled.
@@ -1024,18 +942,11 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // "Ready" is conservative: a non-empty in-flight set *may* hold
         // this session's frame, and only draining (a receiver's job)
         // can tell — so report ready and let the caller re-poll, which
-        // drains. Exactly ready states (ready frame, dead, poisoned)
-        // also refuse the registration.
-        let ready = link.dead.is_some()
-            || link.poisoned.is_some()
-            || self.net.shared.plan.silenced(from, Target::NAME)
-            || !link.in_flight.is_empty()
-            || link.streams.get(&session).is_some_and(|s| !s.ready.is_empty());
-        if ready {
+        // drains.
+        if !link.in_flight.is_empty() {
             return Ok(true);
         }
-        link.wakers.insert(session, waker);
-        Ok(false)
+        Ok(link.mailboxes.register(session, waker))
     }
 }
 

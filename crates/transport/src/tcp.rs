@@ -46,11 +46,14 @@
 //! the window, and a large backlog flushes inline without waiting.
 //!
 //! A reader thread per accepted connection drains the whole buffered
-//! burst per wakeup, deposits it into the per-(session, sender) FIFO
-//! mailboxes under one inbox lock, and fires each parked waker once per
-//! drain instead of once per frame — preserving the per-sender ordering
-//! guarantee the λN model assumes *within* each session while letting
-//! sessions interleave freely on the socket.
+//! burst per wakeup and deposits it under its sender's one lock, which
+//! guards the link cursor (dedup and gap detection live here) and that
+//! sender's share of the workspace's receive mailboxes
+//! (`crate::mailbox`: per-session FIFO, sequence check, failure slot,
+//! waker slot). Each parked waker fires once per drain instead of once
+//! per frame — preserving the per-sender ordering guarantee the λN
+//! model assumes *within* each session while letting sessions
+//! interleave freely on the socket.
 //!
 //! Retention is bounded: a link whose unacknowledged tail reaches the
 //! `CHORUS_TCP_RETAIN_MAX` watermark parks further senders until acks
@@ -60,16 +63,17 @@
 
 pub use crate::link::TcpLinkStats;
 use crate::link::{backoff_delay, FrameAccumulator, LinkStats, LinkTuning, ACK_EVERY};
+use crate::mailbox::{Mailboxes, Wakers};
 use chorus_core::{
-    park, ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SequenceTracker,
-    SessionId, SessionTransport, TransportError,
+    park, ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId,
+    SessionTransport, TransportError,
 };
 use chorus_wire::{
     data_frame_wire_len, data_header, ControlFrame, Envelope, LinkFrame, DATA_FRAME_OVERHEAD,
     DATA_HEADER_LEN,
 };
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Write};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -250,176 +254,108 @@ struct BatchOutcome {
     gap: bool,
 }
 
-/// The demultiplexed receive side shared by all reader threads.
-#[derive(Default)]
-struct Inbox {
-    inner: StdMutex<InboxInner>,
+/// One sender's receive side, behind the one lock its reader threads
+/// deposit under.
+struct Inbound {
+    /// The next link sequence expected, persisted across connections
+    /// (the heart of resumption — a reconnecting sender is told exactly
+    /// where to replay from).
+    cursor: u64,
+    mailboxes: Mailboxes,
 }
 
-#[derive(Default)]
-struct InboxInner {
-    /// Per-(sender, session) FIFO mailboxes, keyed by interned sender
-    /// names so per-frame routing allocates nothing.
-    mailboxes: HashMap<(&'static str, SessionId), VecDeque<Envelope>>,
-    /// Per-(session, sender) sequence validation.
-    sequences: SequenceTracker,
-    /// Per-sender link cursor: the next link sequence expected,
-    /// persisted across connections (the heart of resumption — a
-    /// reconnecting sender is told exactly where to replay from).
-    cursors: HashMap<&'static str, u64>,
-    /// Senders whose link failed for good (a bad frame, a session
-    /// sequence violation, or a link cursor gap), with the error every
-    /// session on that link observes.
-    closed: HashMap<&'static str, String>,
-    /// Readiness wakers parked on empty mailboxes (by blocking
-    /// receivers and by the pooled session runtime): at most one per
-    /// (sender, session) mailbox, removed and fired (outside the lock)
-    /// when that mailbox gains a frame, drained per sender when its
-    /// link fails.
-    wakers: HashMap<(&'static str, SessionId), MailboxWaker>,
-}
+/// The demultiplexed receive side shared by all reader threads: one
+/// [`Inbound`] per peer, built once at bind from the census and keyed
+/// by interned names, so per-frame routing allocates nothing.
+struct Inbox(HashMap<&'static str, StdMutex<Inbound>>);
 
 impl Inbox {
+    fn new(peers: impl Iterator<Item = &'static str>) -> Self {
+        Inbox(
+            peers
+                .map(|peer| {
+                    (peer, StdMutex::new(Inbound { cursor: 0, mailboxes: Mailboxes::new(peer) }))
+                })
+                .collect(),
+        )
+    }
+
+    /// Resolves a handshake's sender name to its interned census entry.
+    fn peer(&self, name: &str) -> Option<&'static str> {
+        self.0.get_key_value(name).map(|(peer, _)| *peer)
+    }
+
+    /// Locks `sender`'s receive side; a sender that is not a peer of
+    /// this endpoint is an unknown location.
+    fn lock(&self, sender: &'static str) -> Result<MutexGuard<'_, Inbound>, TransportError> {
+        let cell =
+            self.0.get(sender).ok_or_else(|| TransportError::UnknownLocation(sender.into()))?;
+        Ok(cell.lock().expect("tcp inbox poisoned"))
+    }
+
+    /// [`lock`](Self::lock) for a sender the handshake already admitted.
+    fn admitted(&self, sender: &'static str) -> MutexGuard<'_, Inbound> {
+        self.lock(sender).expect("the handshake admits only peers")
+    }
+
     /// Routes one decoded burst of data frames from `sender` through
     /// link-level dedup/gap detection and into their session mailboxes,
-    /// under a single inbox lock.
-    ///
-    /// Each waker fires at most once per drain: the first frame for a
-    /// parked mailbox removes and collects its waker, subsequent frames
-    /// of the burst find none. Only mailboxes that actually received a
-    /// frame (or observed an error) are woken.
+    /// under a single lock, firing each woken waker once afterwards.
     fn deposit_batch(
         &self,
         sender: &'static str,
         batch: &mut Vec<(u64, Envelope)>,
     ) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
-        let mut fired: Vec<MailboxWaker> = Vec::new();
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
+        let mut wake = Wakers::default();
+        let mut inbound = self.admitted(sender);
         for (link_seq, envelope) in batch.drain(..) {
-            let cursor = inner.cursors.entry(sender).or_insert(0);
-            if link_seq < *cursor {
+            if link_seq < inbound.cursor {
                 // A replay of something already delivered: the sender
                 // reconnected before our ack covering this frame
                 // reached it.
                 outcome.duplicates += 1;
                 continue;
             }
-            if link_seq > *cursor {
+            if link_seq > inbound.cursor {
                 // Frames below `link_seq` are gone for good (this
-                // receiver restarted and lost its cursor). Poison the
+                // receiver restarted and lost its cursor). Fail the
                 // link rather than let a session see a silently
                 // shortened stream.
-                let message = format!(
-                    "link-layer sequence gap from {sender}: expected frame {cursor}, got \
-                     {link_seq} (frames lost on a dead connection)"
+                let reason = format!(
+                    "link-layer sequence gap: expected frame {}, got {link_seq} (frames lost \
+                     on a dead connection)",
+                    inbound.cursor
                 );
-                inner.closed.insert(sender, message);
-                fired.extend(drain_sender_wakers(&mut inner.wakers, sender));
+                inbound.mailboxes.fail(reason, &mut wake);
                 outcome.gap = true;
                 break;
             }
-            *cursor += 1;
+            inbound.cursor += 1;
             outcome.accepted += 1;
-            // A sender that violated its session sequencing is
-            // unrecoverable: consume the frame at the link level (so the
-            // sender's retention queue drains) but withhold it from
-            // every session, which observes the protocol error instead
-            // of a silently resumed stream.
-            if inner.closed.contains_key(sender) {
-                continue;
-            }
-            match inner.sequences.check(envelope.session, sender, envelope.seq) {
-                Ok(()) => {
-                    let session = envelope.session;
-                    inner.mailboxes.entry((sender, session)).or_default().push_back(envelope);
-                    fired.extend(inner.wakers.remove(&(sender, session)));
-                }
-                Err(e) => {
-                    inner.closed.insert(sender, e.to_string());
-                    fired.extend(drain_sender_wakers(&mut inner.wakers, sender));
-                }
-            }
+            // On a failed link the frame is still consumed here (so the
+            // sender's retention queue drains) but withheld from every
+            // session, which observes the failure instead of a silently
+            // resumed stream.
+            inbound.mailboxes.deposit(envelope, &mut wake);
         }
-        // Wakers re-enqueue sessions into a scheduler queue; invoke them
-        // outside the inbox lock to avoid ordering deadlocks.
-        drop(inner);
-        for waker in fired {
-            waker();
-        }
+        drop(inbound);
+        wake.fire();
         outcome
     }
 
     /// The next link sequence expected of `sender` — the cumulative-ack
     /// and resume cursor.
     fn link_cursor(&self, sender: &'static str) -> u64 {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        *inner.cursors.entry(sender).or_insert(0)
+        self.admitted(sender).cursor
     }
 
-    /// Fails `sender`'s link for good with `error`.
-    fn close(&self, sender: &'static str, error: String) {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        inner.closed.entry(sender).or_insert(error);
-        // A closed link is an observable (error) state for every session
-        // parked on it: fire them all.
-        let fired = drain_sender_wakers(&mut inner.wakers, sender);
-        drop(inner);
-        for waker in fired {
-            waker();
-        }
+    /// Fails `sender`'s link for good with `reason`.
+    fn close(&self, sender: &'static str, reason: String) {
+        let mut wake = Wakers::default();
+        self.admitted(sender).mailboxes.fail(reason, &mut wake);
+        wake.fire();
     }
-
-    /// Pops the next frame of `session` from `sender` if one is already
-    /// deliverable.
-    fn try_take(
-        &self,
-        session: SessionId,
-        sender: &'static str,
-    ) -> Result<Option<Envelope>, TransportError> {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        if let Some(envelope) =
-            inner.mailboxes.get_mut(&(sender, session)).and_then(VecDeque::pop_front)
-        {
-            return Ok(Some(envelope));
-        }
-        if let Some(message) = inner.closed.get(sender) {
-            return Err(TransportError::Protocol(message.clone()));
-        }
-        Ok(None)
-    }
-
-    /// Parks `waker` on the (sender, session) mailbox, or reports the
-    /// mailbox already ready. Ready-check and registration happen under
-    /// the inbox lock the reader threads deposit under — no lost
-    /// wakeups.
-    fn register(
-        &self,
-        session: SessionId,
-        sender: &'static str,
-        waker: MailboxWaker,
-    ) -> Result<bool, TransportError> {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        let ready = inner.closed.contains_key(sender)
-            || inner.mailboxes.get(&(sender, session)).is_some_and(|mailbox| !mailbox.is_empty());
-        if ready {
-            return Ok(true);
-        }
-        inner.wakers.insert((sender, session), waker);
-        Ok(false)
-    }
-}
-
-/// Removes every waker parked on `sender`'s mailboxes, for firing once
-/// the inbox lock is released. The map is typically tiny here (the
-/// link just died), so the linear scan is fine.
-fn drain_sender_wakers(
-    wakers: &mut HashMap<(&'static str, SessionId), MailboxWaker>,
-    sender: &'static str,
-) -> Vec<MailboxWaker> {
-    let keys: Vec<(&'static str, SessionId)> =
-        wakers.keys().filter(|(s, _)| *s == sender).copied().collect();
-    keys.into_iter().filter_map(|key| wakers.remove(&key)).collect()
 }
 
 /// An ongoing connection outage on one link: when it began and how many
@@ -1106,18 +1042,16 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
 
-        let peers: HashSet<&'static str> =
-            L::names().into_iter().filter(|n| *n != Target::NAME).collect();
         let tuning = config.tuning();
         let stats = Arc::new(LinkStats::default());
-        let inbox = Arc::new(Inbox::default());
+        let inbox = Arc::new(Inbox::new(L::names().into_iter().filter(|n| *n != Target::NAME)));
         let stop = Arc::new(AtomicBool::new(false));
 
         let acceptor_inbox = Arc::clone(&inbox);
         let acceptor_stats = Arc::clone(&stats);
         let acceptor_stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            accept_loop(listener, peers, acceptor_inbox, acceptor_stats, tuning, acceptor_stop);
+            accept_loop(listener, acceptor_inbox, acceptor_stats, tuning, acceptor_stop);
         });
 
         let send = Arc::new(SendShared {
@@ -1198,7 +1132,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
 
 fn accept_loop(
     listener: TcpListener,
-    peers: HashSet<&'static str>,
     inbox: Arc<Inbox>,
     stats: Arc<LinkStats>,
     tuning: LinkTuning,
@@ -1210,7 +1143,6 @@ fn accept_loop(
                 let inbox = Arc::clone(&inbox);
                 let stats = Arc::clone(&stats);
                 let stop = Arc::clone(&stop);
-                let peers = peers.clone();
                 std::thread::spawn(move || {
                     stream.set_nonblocking(false).ok();
                     stream.set_nodelay(true).ok();
@@ -1218,7 +1150,7 @@ fn accept_loop(
                     // pending-ack flushes.
                     stream.set_read_timeout(Some(tuning.io_tick())).ok();
                     let mut acc = FrameAccumulator::default();
-                    let Some(name) = read_hello(&mut stream, &mut acc, &peers, &stop) else {
+                    let Some(name) = read_hello(&mut stream, &mut acc, &inbox, &stop) else {
                         // Dropping the stream refuses the connection.
                         return;
                     };
@@ -1247,7 +1179,7 @@ fn accept_loop(
 fn read_hello(
     stream: &mut TcpStream,
     acc: &mut FrameAccumulator,
-    peers: &HashSet<&'static str>,
+    inbox: &Inbox,
     stop: &AtomicBool,
 ) -> Option<&'static str> {
     loop {
@@ -1260,7 +1192,7 @@ fn read_hello(
             return None;
         }
         let name = std::str::from_utf8(name_bytes).ok()?;
-        return peers.get(name).copied();
+        return inbox.peer(name);
     }
 }
 
@@ -1486,10 +1418,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         from: &str,
     ) -> Result<Option<Envelope>, TransportError> {
         let from = self.names.resolve(from)?;
-        if from == Target::NAME {
-            return Err(TransportError::UnknownLocation(from.to_string()));
-        }
-        self.inbox.try_take(session, from)
+        self.inbox.lock(from)?.mailboxes.try_take(session)
     }
 
     fn register_waker(
@@ -1499,10 +1428,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         waker: MailboxWaker,
     ) -> Result<bool, TransportError> {
         let from = self.names.resolve(from)?;
-        if from == Target::NAME {
-            return Err(TransportError::UnknownLocation(from.to_string()));
-        }
-        self.inbox.register(session, from, waker)
+        Ok(self.inbox.lock(from)?.mailboxes.register(session, waker))
     }
 }
 

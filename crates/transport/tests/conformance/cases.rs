@@ -12,6 +12,7 @@ use chorus_core::{Endpoint, MailboxWaker, SessionTransport, TransportError};
 use chorus_transport::TransportMetrics;
 use chorus_wire::Envelope;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 chorus_core::locations! { Alice, Bob }
 
@@ -29,14 +30,33 @@ fn frame(session: u64, seq: u64, payload: &[u8]) -> Envelope {
     Envelope::new(session, seq, payload.to_vec())
 }
 
-/// A waker that flips a shared flag and wakes whoever parked on it —
+/// Counts the firings of the wakers registered through it.
+type Gate = Arc<WaitQueue<u32>>;
+
+fn gate() -> Gate {
+    Arc::new(WaitQueue::new(0))
+}
+
+/// A waker that bumps the gate's count and wakes whoever parked on it —
 /// the same shape the pooled runtime's re-enqueue waker has.
-fn gate_waker(gate: &Arc<WaitQueue<bool>>) -> MailboxWaker {
+fn gate_waker(gate: &Gate) -> MailboxWaker {
     let gate = Arc::clone(gate);
     Arc::new(move || {
-        *gate.lock() = true;
+        *gate.lock() += 1;
         gate.notify_all();
     })
+}
+
+/// Parks until a waker registered through `gate` has fired. The
+/// deadline only turns a lost wakeup into a failure instead of a hang.
+fn wait_fired(gate: &Gate) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut fired = gate.lock();
+    while *fired == 0 {
+        let (guard, timed_out) = gate.wait_deadline(fired, deadline);
+        fired = guard;
+        assert!(*fired > 0 || !timed_out, "a registered waker never fired");
+    }
 }
 
 /// Receives one frame through the *non-blocking* path only:
@@ -54,16 +74,13 @@ fn recv_eventually(
         if let Some(envelope) = bob.try_receive_frame(session, from)? {
             return Ok(envelope);
         }
-        let gate = Arc::new(WaitQueue::new(false));
+        let gate = gate();
         if bob.register_waker(session, from, gate_waker(&gate))? {
             // Already ready: a frame (or an error) slipped in between
             // the failed try and the registration — re-poll.
             continue;
         }
-        let mut fired = gate.lock();
-        while !*fired {
-            fired = gate.wait(fired);
-        }
+        wait_fired(&gate);
     }
 }
 
@@ -207,16 +224,12 @@ pub fn try_receive_on_empty_mailbox_is_none(alice: impl AliceTransport, bob: imp
 /// deposited, and the frame is then deliverable through the
 /// non-blocking path.
 pub fn waker_fires_on_deposit(alice: impl AliceTransport, bob: impl BobTransport) {
-    let gate = Arc::new(WaitQueue::new(false));
+    let gate = gate();
     let parked = !bob.register_waker(7, "Alice", gate_waker(&gate)).unwrap();
     assert!(parked, "nothing was sent; the waker must park");
     alice.send_frame("Bob", frame(7, 0, b"wake")).unwrap();
     // Wait for the waker, not for wall-clock time.
-    let mut fired = gate.lock();
-    while !*fired {
-        fired = gate.wait(fired);
-    }
-    drop(fired);
+    wait_fired(&gate);
     // A fired waker is a readiness *hint* (spurious wakes are legal), so
     // drain through the full poll/register protocol.
     assert_eq!(recv_eventually(&bob, 7, "Alice").unwrap().payload, b"wake");
@@ -233,18 +246,15 @@ pub fn registration_reports_ready_mailbox(alice: impl AliceTransport, bob: impl 
     // With "b" still undelivered, registration must eventually report
     // ready rather than leave the caller parked forever.
     loop {
-        let gate = Arc::new(WaitQueue::new(false));
+        let gate = gate();
         if bob.register_waker(3, "Alice", gate_waker(&gate)).unwrap() {
             break;
         }
-        let mut fired = gate.lock();
-        while !*fired {
-            fired = gate.wait(fired);
-        }
+        wait_fired(&gate);
     }
     assert_eq!(bob.try_receive_frame(3, "Alice").unwrap().unwrap().payload, b"b");
     // Drained: a fresh registration parks.
-    let gate = Arc::new(WaitQueue::new(false));
+    let gate = gate();
     assert!(
         !bob.register_waker(3, "Alice", gate_waker(&gate)).unwrap(),
         "the mailbox was drained; the waker must park"
@@ -260,6 +270,40 @@ pub fn try_receive_surfaces_link_failure(alice: impl AliceTransport, bob: impl B
     alice.send_frame("Bob", frame(1, 2, b"gap")).unwrap();
     assert_eq!(recv_eventually(&bob, 1, "Alice").unwrap().payload, b"ok");
     let err = recv_eventually(&bob, 1, "Alice").unwrap_err();
+    assert!(
+        matches!(err, TransportError::Protocol(_)),
+        "the failure must surface as a protocol error, got {err:?}"
+    );
+}
+
+/// A deposit wakes only the mailbox that gained the frame: a session
+/// parked on the same link for a frame that has not come costs no
+/// spurious wake (and no scheduler requeue).
+pub fn deposit_wakes_only_its_own_mailbox(alice: impl AliceTransport, bob: impl BobTransport) {
+    let (one, two) = (gate(), gate());
+    assert!(!bob.register_waker(1, "Alice", gate_waker(&one)).unwrap());
+    assert!(!bob.register_waker(2, "Alice", gate_waker(&two)).unwrap());
+    alice.send_frame("Bob", frame(1, 0, b"for-one")).unwrap();
+    wait_fired(&one);
+    assert_eq!(*two.lock(), 0, "session 2 gained no frame");
+    // Session 2's waker is still parked and fires on its own deposit.
+    alice.send_frame("Bob", frame(2, 0, b"for-two")).unwrap();
+    wait_fired(&two);
+    assert_eq!(*one.lock(), 1, "a waker fires once per registration");
+    assert_eq!(bob.try_receive_frame(1, "Alice").unwrap().unwrap().payload, b"for-one");
+    assert_eq!(bob.try_receive_frame(2, "Alice").unwrap().unwrap().payload, b"for-two");
+}
+
+/// A failed link is every parked session's business: a sequence gap in
+/// session 1 kills the link, which fires the waker parked on session 2,
+/// and session 2 then reads the protocol error without blocking.
+pub fn link_failure_wakes_every_parked_session(alice: impl AliceTransport, bob: impl BobTransport) {
+    let gate = gate();
+    assert!(!bob.register_waker(2, "Alice", gate_waker(&gate)).unwrap());
+    alice.send_frame("Bob", frame(1, 0, b"ok")).unwrap();
+    alice.send_frame("Bob", frame(1, 2, b"gap")).unwrap();
+    wait_fired(&gate);
+    let err = bob.try_receive_frame(2, "Alice").unwrap_err();
     assert!(
         matches!(err, TransportError::Protocol(_)),
         "the failure must surface as a protocol error, got {err:?}"

@@ -1,8 +1,10 @@
 //! The transport conformance suite: one macro-driven battery asserting
 //! the [`chorus_core::SessionTransport`] contract — per-(session,
 //! sender) FIFO, independent cross-session interleaving, sequence-gap
-//! detection, poisoned-link withholding, and multi-session metrics
-//! parity — instantiated against every transport in the workspace:
+//! detection, poisoned-link withholding, per-mailbox wakeups (a deposit
+//! wakes only its own session, a link failure wakes every parked one),
+//! and multi-session metrics parity — instantiated against every
+//! transport in the workspace:
 //!
 //! * [`LocalTransport`] — in-process queues;
 //! * [`TcpTransport`] — real sockets on loopback;
@@ -100,6 +102,18 @@ macro_rules! conformance_suite {
             fn try_receive_surfaces_link_failure() {
                 let (alice, bob) = $make;
                 cases::try_receive_surfaces_link_failure(alice, bob);
+            }
+
+            #[test]
+            fn deposit_wakes_only_its_own_mailbox() {
+                let (alice, bob) = $make;
+                cases::deposit_wakes_only_its_own_mailbox(alice, bob);
+            }
+
+            #[test]
+            fn link_failure_wakes_every_parked_session() {
+                let (alice, bob) = $make;
+                cases::link_failure_wakes_every_parked_session(alice, bob);
             }
 
             #[test]
